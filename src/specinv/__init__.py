@@ -14,7 +14,6 @@ from .dataset import (
     generate_dataset,
     load_dataset,
     save_dataset,
-    sobol_scrambled,
     surrogate_spectrum,
     witness_pair,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "save_dataset",
     "save_mdn",
     "silu",
-    "sobol_scrambled",
     "surrogate_spectrum",
     "sweep",
     "train_ae",

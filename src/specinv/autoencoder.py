@@ -7,13 +7,13 @@ encoder is then frozen and its latents feed the reduced-input mixture model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nncore
 from .nncore import ACT_IDENTITY, ACT_SILU, MlpModel, TrainingDivergedError
-from .train import TrainConfig
+from .train import TrainConfig, TrainResult, fit
 
 ENCODER_WIDTHS = [101, 128, 256, 512, 256, 10]
 DECODER_WIDTHS = [10, 256, 512, 256, 128, 101]
@@ -27,9 +27,6 @@ class AeModel:
 
     def parameters(self) -> list[np.ndarray]:
         return self.encoder.parameters() + self.decoder.parameters()
-
-    def copy(self) -> "AeModel":
-        return AeModel(encoder=self.encoder.copy(), decoder=self.decoder.copy())
 
 
 def init_ae(rng: np.random.Generator) -> AeModel:
@@ -63,14 +60,6 @@ def mean_baseline_mse(train_spectra: np.ndarray, eval_spectra: np.ndarray) -> fl
     return float(np.mean((eval_spectra - mean) ** 2))
 
 
-@dataclass
-class AeTrainResult:
-    model: AeModel
-    epochs: int
-    log: list[tuple[float, float]] = field(default_factory=list)  # (train_mse, val_mse)
-    best_val_mse: float = math.nan
-
-
 def train_ae(
     train_spectra: np.ndarray,
     val_spectra: np.ndarray,
@@ -78,45 +67,30 @@ def train_ae(
     shuffle_rng: np.random.Generator,
     rng: np.random.Generator | None = None,
     model: AeModel | None = None,
-) -> AeTrainResult:
+) -> TrainResult:
     """Minimize reconstruction MSE; returns the best-validation model."""
     if model is None:
         if rng is None:
             raise ValueError("need an init rng when no model is supplied")
         model = init_ae(rng)
-    params = model.parameters()
-    adam = nncore.adam_init(params, learning_rate=config.learning_rate)
-    stopper = nncore.EarlyStopping(
-        patience=config.patience, min_delta=config.min_delta, max_epochs=config.max_epochs
+
+    def batch_loss_and_grads(idx):
+        batch = train_spectra[idx]
+        latent, enc_tape = nncore.forward(model.encoder, batch)
+        recon, dec_tape = nncore.forward(model.decoder, latent)
+        err = recon - batch
+        loss = float(np.mean(err * err))
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite reconstruction loss {loss!r}")
+        dec_grads, g_latent = nncore.backward(model.decoder, dec_tape, 2.0 * err / err.size)
+        enc_grads, _ = nncore.backward(model.encoder, enc_tape, g_latent)
+        return loss, enc_grads + dec_grads
+
+    epochs, log, best = fit(
+        model.parameters(), train_spectra.shape[0], batch_loss_and_grads,
+        lambda: reconstruction_mse(model, val_spectra), config, shuffle_rng,
     )
-    n = train_spectra.shape[0]
-    log: list[tuple[float, float]] = []
-    while True:
-        perm = shuffle_rng.permutation(n)
-        total, seen = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            batch = train_spectra[idx]
-            latent, enc_tape = nncore.forward(model.encoder, batch)
-            recon, dec_tape = nncore.forward(model.decoder, latent)
-            err = recon - batch
-            loss = float(np.mean(err * err))
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite reconstruction loss {loss!r}")
-            g_out = 2.0 * err / err.size
-            dec_grads, g_latent = nncore.backward(model.decoder, dec_tape, g_out)
-            enc_grads, _ = nncore.backward(model.encoder, enc_tape, g_latent)
-            nncore.adam_step(params, enc_grads + dec_grads, adam)
-            total += loss * len(idx)
-            seen += len(idx)
-        val_mse = reconstruction_mse(model, val_spectra)
-        log.append((total / seen, val_mse))
-        if stopper.update(val_mse, nncore.snapshot_params(params)):
-            break
-    nncore.restore_params(params, stopper.best_checkpoint)
-    return AeTrainResult(
-        model=model, epochs=stopper.epoch, log=log, best_val_mse=stopper.best_val_loss
-    )
+    return TrainResult(model=model, epochs=epochs, log=log, best_val_loss=best)
 
 
 # --- checkpoint io --------------------------------------------------------------
@@ -132,14 +106,13 @@ def ae_to_dict(ae: AeModel) -> dict:
 
 
 def ae_from_dict(data: dict) -> AeModel:
-    if data.get("kind") != "autoencoder":
-        raise ValueError(f"expected an autoencoder checkpoint, got kind={data.get('kind')!r}")
+    nncore.check_header(data, "autoencoder", ("encoder", "decoder"))
     ae = AeModel(
-        encoder=nncore.mlp_from_dict(data["encoder"]),
-        decoder=nncore.mlp_from_dict(data["decoder"]),
+        encoder=nncore.mlp_from_dict(data["encoder"], "encoder"),
+        decoder=nncore.mlp_from_dict(data["decoder"], "decoder"),
     )
     if ae.encoder.output_width != ae.decoder.input_width:
-        raise ValueError("encoder/decoder latent widths disagree")
+        raise nncore.CheckpointFormatError("encoder/decoder latent widths disagree")
     return ae
 
 
@@ -148,4 +121,4 @@ def save_ae(path, ae: AeModel) -> None:
 
 
 def load_ae(path) -> AeModel:
-    return ae_from_dict(nncore.load_checkpoint(path))
+    return nncore.load_model(path, ae_from_dict)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autoencoder, dataset, mdn, svgplot, transfer
 from .dataset import DatasetFormatError, PARAM_LOWER, PARAM_NAMES, PARAM_UPPER
-from .nncore import TrainingDivergedError
+from .nncore import CheckpointFormatError, TrainingDivergedError, write_csv
 from .train import (
     ROLE_AE_INIT,
     ROLE_AE_SHUFFLE,
@@ -138,16 +138,9 @@ def resolve_out(path: str) -> Path:
     return p
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_log_csv(path: Path, log: list[tuple[float, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_nll", "val_nll"])
-        for epoch, (train_nll, val_nll) in enumerate(log, start=1):
-            writer.writerow([epoch, _fmt(train_nll), _fmt(val_nll)])
+    rows = ([epoch, train, val] for epoch, (train, val) in enumerate(log, start=1))
+    write_csv(path, ["epoch", "train_nll", "val_nll"], rows)
 
 
 def _read_log_csv(path: Path) -> list[tuple[int, float, float]]:
@@ -170,7 +163,10 @@ def read_spectrum_file(path: str | Path) -> np.ndarray:
         raise DatasetFormatError(
             f"{path}: expected {dataset.N_WAVELENGTHS} absorbance values, got {len(values)}"
         )
-    return np.array(values)
+    spectrum = np.array(values)
+    if not dataset.valid_absorbance(spectrum):
+        raise DatasetFormatError(f"{path}: absorbance values must be finite and within [0, 1]")
+    return spectrum
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -251,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         latent_mse = float(np.mean((roundtrip - train_latents) ** 2))
         print(
             f"autoencoder: {ae_fit.epochs} epochs, "
-            f"val reconstruction MSE {ae_fit.best_val_mse:.3e}, "
+            f"val reconstruction MSE {ae_fit.best_val_loss:.3e}, "
             f"latent round-trip MSE {latent_mse:.3e}"
         )
     strategy = transfer.GrowthStrategy(cfg.strategy)
@@ -300,32 +296,27 @@ def cmd_predict(args: argparse.Namespace) -> int:
     resim = dataset.surrogate_spectra(designs)
     out_dir = resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "pi"] + list(PARAM_NAMES) + ["rmse"])
-        for rank, (pi, design, resim_spectrum) in enumerate(zip(pis, designs, resim), start=1):
-            rmse = spectrum_rmse(resim_spectrum, spectrum)
-            writer.writerow([rank, _fmt(pi)] + [_fmt(v) for v in design] + [_fmt(rmse)])
-    with open(out_dir / "resimulated.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank"] + [f"a_{i:03d}" for i in range(dataset.N_WAVELENGTHS)])
-        for rank, resim_spectrum in enumerate(resim, start=1):
-            writer.writerow([rank] + [_fmt(v) for v in resim_spectrum])
-    with open(out_dir / "mixture.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        n = mix.n_targets
-        writer.writerow(
-            ["component", "pi"]
-            + [f"mu_{c + 1}" for c in range(n)]
-            + [f"sigma_{c + 1}" for c in range(n)]
-        )
-        for i in range(mix.n_components):
-            writer.writerow(
-                [i + 1, _fmt(mix.pi[i])]
-                + [_fmt(v) for v in mix.mu[i]]
-                + [_fmt(v) for v in mix.sigma[i]]
-            )
-    best = min(spectrum_rmse(s, spectrum) for s in resim)
+    rmses = [spectrum_rmse(s, spectrum) for s in resim]
+    write_csv(
+        out_dir / "predictions.csv",
+        ["rank", "pi"] + list(PARAM_NAMES) + ["rmse"],
+        ([rank, pi, *design, rmse]
+         for rank, (pi, design, rmse) in enumerate(zip(pis, designs, rmses), start=1)),
+    )
+    write_csv(
+        out_dir / "resimulated.csv",
+        ["rank"] + [f"a_{i:03d}" for i in range(dataset.N_WAVELENGTHS)],
+        ([rank, *s] for rank, s in enumerate(resim, start=1)),
+    )
+    n = mix.n_targets
+    write_csv(
+        out_dir / "mixture.csv",
+        ["component", "pi"] + [f"mu_{c + 1}" for c in range(n)]
+        + [f"sigma_{c + 1}" for c in range(n)],
+        ([i, pi, *mu, *sigma]
+         for i, (pi, mu, sigma) in enumerate(zip(mix.pi, mix.mu, mix.sigma), start=1)),
+    )
+    best = min(rmses)
     print(f"wrote {len(pis)} candidates to {out_dir} (best re-simulation RMSE {best:.4f})")
     return EXIT_OK
 
@@ -399,11 +390,8 @@ def _report_marginals(args, run_dir: Path, out_dir: Path, rows: list[dict]) -> N
         # physical axis: value = lower + span*u, density rescaled to per-nm
         value_nm = PARAM_LOWER[c] + spans[c] * grid
         dens_nm = dens / spans[c]
-        with open(out_dir / f"marginal_{name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"{name}_nm", "density_per_nm"])
-            for v, d in zip(value_nm, dens_nm):
-                writer.writerow([_fmt(v), _fmt(d)])
+        write_csv(out_dir / f"marginal_{name}.csv", [f"{name}_nm", "density_per_nm"],
+                  zip(value_nm, dens_nm))
         svg = svgplot.line_chart(
             [("weighted marginal pdf", value_nm, dens_nm)],
             title=f"Marginal density of {name} (K={k})",
@@ -497,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DatasetFormatError, OSError) as exc:
+    except (DatasetFormatError, CheckpointFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

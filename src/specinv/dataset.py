@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import qmc
 
+from .nncore import write_csv
+
 PARAM_NAMES = ("p", "w", "h1", "h2", "h3")
 PARAM_LOWER = np.array([305.0, 45.0, 150.0, 25.0, 80.0])
 PARAM_UPPER = np.array([415.0, 190.0, 295.0, 200.0, 165.0])
@@ -52,8 +54,9 @@ class DesignParams:
 
     def __post_init__(self):
         arr = self.to_array()
-        if np.any(arr < PARAM_LOWER) or np.any(arr > PARAM_UPPER):
-            raise ValueError(f"design {arr} outside parameter intervals")
+        # NaN fails every comparison, so require inside rather than reject outside
+        if not (np.all(arr >= PARAM_LOWER) and np.all(arr <= PARAM_UPPER)):
+            raise ValueError(f"design {arr} is non-finite or outside the parameter intervals")
         if self.p - self.w < MIN_PERIOD_WIDTH_GAP:
             raise ValueError(
                 f"p - w = {self.p - self.w:.6g} violates the {MIN_PERIOD_WIDTH_GAP} nm gap"
@@ -83,30 +86,9 @@ def denormalize_designs(u: np.ndarray) -> np.ndarray:
 # --- sampling -------------------------------------------------------------------
 
 
-def sobol_scrambled(n: int, dim: int = N_DIMS, seed: int = 0, scramble: bool = True) -> np.ndarray:
-    """First n points of an Owen-scrambled Sobol sequence in [0,1)^5.
-
-    Backed by scipy's generator (published Joe-Kuo direction numbers); the
-    sequence is deterministic per seed and may be consumed incrementally.
-    """
-    if dim != N_DIMS:
-        raise ValueError(f"only {N_DIMS}-dimensional sampling is supported, got dim={dim}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    engine = qmc.Sobol(d=dim, scramble=scramble, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # balance warning for non power-of-two n
-        return engine.random(n)
-
-
-def scale_points(points: np.ndarray) -> np.ndarray:
-    """Affine map from the unit cube to the physical parameter intervals."""
-    return PARAM_LOWER + np.asarray(points, dtype=np.float64) * (PARAM_UPPER - PARAM_LOWER)
-
-
 def scale_and_filter(points: np.ndarray) -> list[DesignParams]:
     """Scale unit-cube points and drop any sample violating p - w >= 200 nm."""
-    scaled = scale_points(points)
+    scaled = denormalize_designs(points)
     keep = scaled[:, 0] - scaled[:, 1] >= MIN_PERIOD_WIDTH_GAP
     return [DesignParams.from_array(row) for row in scaled[keep]]
 
@@ -164,6 +146,11 @@ def surrogate_spectra(designs: np.ndarray) -> np.ndarray:
     return np.clip(total, 0.0, 1.0)
 
 
+def valid_absorbance(spectra: np.ndarray) -> np.ndarray:
+    """Per spectrum: every value finite and within [0, 1] (NaN fails both bounds)."""
+    return ((spectra >= 0.0) & (spectra <= 1.0)).all(axis=-1)
+
+
 def surrogate_spectrum(d: DesignParams) -> np.ndarray:
     """Absorbance spectrum of a single design on the fixed wavelength grid."""
     return surrogate_spectra(d.to_array()[None, :])[0]
@@ -218,19 +205,11 @@ def assign_splits(n: int, seed: int) -> np.ndarray:
 
 @dataclass
 class LabeledDataset:
-    """Paired (design, spectrum) records with split tags and normalization bounds."""
+    """Paired (design, spectrum) records with split tags."""
 
     designs: np.ndarray  # (n, 5) physical nm
     spectra: np.ndarray  # (n, 101) absorbance
     split_tags: np.ndarray  # (n,) of train|val|test
-    param_lower: np.ndarray = None
-    param_upper: np.ndarray = None
-
-    def __post_init__(self):
-        if self.param_lower is None:
-            self.param_lower = PARAM_LOWER.copy()
-        if self.param_upper is None:
-            self.param_upper = PARAM_UPPER.copy()
 
     def __len__(self) -> int:
         return self.designs.shape[0]
@@ -271,10 +250,6 @@ def generate_dataset(n: int = DEFAULT_SAMPLE_COUNT, seed: int = 0) -> LabeledDat
 # --- persistence --------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _header() -> list[str]:
     return list(PARAM_NAMES) + ["split"] + [f"a_{i:03d}" for i in range(N_WAVELENGTHS)]
 
@@ -282,14 +257,8 @@ def _header() -> list[str]:
 def save_dataset(path: str | Path, ds: LabeledDataset, seed: int | None = None) -> None:
     """Write the dataset CSV and a sidecar JSON metadata file alongside it."""
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_header())
-        for i in range(len(ds)):
-            row = [_fmt(v) for v in ds.designs[i]]
-            row.append(str(ds.split_tags[i]))
-            row.extend(_fmt(v) for v in ds.spectra[i])
-            writer.writerow(row)
+    rows = zip(ds.designs.tolist(), ds.split_tags, ds.spectra.tolist())
+    write_csv(path, _header(), (d + [tag] + a for d, tag, a in rows))
     meta = {
         "seed": seed,
         "samples": len(ds),
@@ -339,9 +308,15 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             tags.append(split)
     if not designs:
         raise DatasetFormatError(f"{path}: no records")
+    spectra = np.array(spectra)
+    bad = np.flatnonzero(~valid_absorbance(spectra))
+    if bad.size:
+        raise DatasetFormatError(
+            f"{path}: line {bad[0] + 2}: absorbance values must be finite and within [0, 1]"
+        )
     return LabeledDataset(
         designs=np.array(designs),
-        spectra=np.array(spectra),
+        spectra=spectra,
         split_tags=np.array(tags, dtype=object),
     )
 

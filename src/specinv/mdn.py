@@ -80,9 +80,6 @@ class MdnHead:
     def parameters(self) -> list[np.ndarray]:
         return [self.pi_w, self.pi_b, self.mu_w, self.mu_b, self.sigma_w, self.sigma_b]
 
-    def copy(self) -> "MdnHead":
-        return MdnHead(*(a.copy() for a in self.parameters()))
-
 
 @dataclass
 class MdnModel:
@@ -101,9 +98,6 @@ class MdnModel:
 
     def parameters(self) -> list[np.ndarray]:
         return self.trunk.parameters() + self.head.parameters()
-
-    def copy(self) -> "MdnModel":
-        return MdnModel(trunk=self.trunk.copy(), head=self.head.copy())
 
 
 def init_mdn_head(
@@ -404,23 +398,21 @@ def mdn_to_dict(model: MdnModel) -> dict:
 
 
 def mdn_from_dict(data: dict) -> MdnModel:
-    if data.get("kind") != "mdn":
-        raise ValueError(f"expected an mdn checkpoint, got kind={data.get('kind')!r}")
-    trunk = nncore.mlp_from_dict(data["trunk"])
-    h = data["head"]
-    head = MdnHead(
-        pi_w=np.asarray(h["pi_w"], dtype=np.float64),
-        pi_b=np.asarray(h["pi_b"], dtype=np.float64),
-        mu_w=np.asarray(h["mu_w"], dtype=np.float64),
-        mu_b=np.asarray(h["mu_b"], dtype=np.float64),
-        sigma_w=np.asarray(h["sigma_w"], dtype=np.float64),
-        sigma_b=np.asarray(h["sigma_b"], dtype=np.float64),
-    )
-    if head.feature_width != trunk.output_width:
-        raise ValueError("head feature width does not match trunk output width")
-    if head.n_components != int(data["n_components"]):
-        raise ValueError("head shapes disagree with declared component count")
-    return MdnModel(trunk=trunk, head=head)
+    nncore.check_header(data, "mdn", ("n_components", "n_targets", "trunk", "head"))
+    trunk = nncore.mlp_from_dict(data["trunk"], "trunk")
+    k = nncore.checkpoint_count(data["n_components"], "n_components")
+    n = nncore.checkpoint_count(data["n_targets"], "n_targets")
+    f = trunk.output_width
+    shapes = {
+        "pi_w": (k, f), "pi_b": (k,),
+        "mu_w": (k * n, f), "mu_b": (k * n,),
+        "sigma_w": (k * n, f), "sigma_b": (k * n,),
+    }
+    nncore.require_keys(data["head"], shapes, "head")
+    return MdnModel(trunk=trunk, head=MdnHead(**{
+        key: nncore.checkpoint_array(data["head"][key], shape, f"head.{key}")
+        for key, shape in shapes.items()
+    }))
 
 
 def save_mdn(path, model: MdnModel) -> None:
@@ -428,4 +420,4 @@ def save_mdn(path, model: MdnModel) -> None:
 
 
 def load_mdn(path) -> MdnModel:
-    return mdn_from_dict(nncore.load_checkpoint(path))
+    return nncore.load_model(path, mdn_from_dict)

@@ -8,6 +8,7 @@ early stopping, and a bit-exact JSON checkpoint format.  All arithmetic is
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,6 +27,10 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a training loss turns NaN/infinite instead of silently continuing."""
 
 
+class CheckpointFormatError(ValueError):
+    """Malformed or unsupported checkpoint: bad JSON, version, kind, keys or shapes."""
+
+
 def silu(v: np.ndarray) -> np.ndarray:
     """Elementwise x * sigmoid(x)."""
     v = np.asarray(v, dtype=np.float64)
@@ -35,6 +40,11 @@ def silu(v: np.ndarray) -> np.ndarray:
 def _silu_grad(z: np.ndarray, sig: np.ndarray) -> np.ndarray:
     # d/dz [z * sigmoid(z)] = sigmoid(z) * (1 + z * (1 - sigmoid(z)))
     return sig * (1.0 + z * (1.0 - sig))
+
+
+def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
+    """The parameter order: each layer's weight, then its bias."""
+    return [a for pair in zip(weights, biases) for a in pair]
 
 
 @dataclass
@@ -66,11 +76,7 @@ class MlpModel:
 
     def parameters(self) -> list[np.ndarray]:
         """Weight/bias arrays interleaved per layer; views, not copies."""
-        params: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
+        return _interleave(self.weights, self.biases)
 
     def copy(self) -> "MlpModel":
         return MlpModel(
@@ -218,12 +224,8 @@ def backward(
         grad_w[l] = g.T @ rec.inputs
         grad_b[l] = g.sum(axis=0)
         g = g @ model.weights[l]
-    param_grads: list[np.ndarray] = []
-    for w, b in zip(grad_w, grad_b):
-        param_grads.append(w)
-        param_grads.append(b)
     input_grad = g[0] if tape.single else g
-    return param_grads, input_grad
+    return _interleave(grad_w, grad_b), input_grad
 
 
 @dataclass
@@ -317,16 +319,45 @@ class EarlyStopping:
         return self.epochs_since_improvement >= self.patience or self.epoch >= self.max_epochs
 
 
-# --- checkpoint serialization ------------------------------------------------
+# --- text output ---------------------------------------------------------------
 #
-# Checkpoints are plain JSON.  Floats are written with 17 significant digits,
-# which round-trips IEEE-754 doubles bit-exactly; the reader is the stock json
-# parser.  See docs/checkpoint.schema.json for the layout.
+# Every float written to a file goes through ``fmt``: 17 significant digits
+# round-trip IEEE-754 doubles bit-exactly.  Checkpoints are plain JSON read back
+# by the stock json parser; see docs/checkpoint.schema.json for the layout.
+
+
+def fmt(x: float) -> str:
+    return format(x, ".17g")
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """One CSV file: floats through ``fmt``, every other cell through ``str``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row] for row in rows
+        )
+
+
+def _float_array_json(a: np.ndarray) -> str:
+    """Nested JSON lists; each 1-D row is checked once and joined once."""
+    if a.ndim != 1:
+        return "[" + ", ".join(_float_array_json(row) for row in a) + "]"
+    if not np.isfinite(a).all():
+        bad = float(a[~np.isfinite(a)][0])
+        raise ValueError(f"non-finite value {bad!r} cannot be checkpointed")
+    return "[" + ", ".join(map(fmt, a.tolist())) + "]"
 
 
 def _json_fragments(obj, out: list[str], indent: int) -> None:
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim > 0:
+            out.append(_float_array_json(obj))
+        else:
+            _json_fragments(obj.tolist(), out, indent)
+    elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -337,31 +368,24 @@ def _json_fragments(obj, out: list[str], indent: int) -> None:
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
         out.append("[")
-        for i, value in enumerate(items):
-            _json_fragments(value, out, indent + 1)
-            if i < len(items) - 1:
+        for i, value in enumerate(obj):
+            if i:
                 out.append(", ")
+            _json_fragments(value, out, indent + 1)
         out.append("]")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite value {x!r} cannot be checkpointed")
-        out.append(format(x, ".17g"))
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {float(obj)!r} cannot be checkpointed")
+        out.append(fmt(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, np.ndarray):
-        _json_fragments(obj.tolist(), out, indent)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -379,7 +403,56 @@ def save_checkpoint(path: str | Path, payload: dict) -> None:
 
 def load_checkpoint(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise CheckpointFormatError(f"{path}: not a JSON checkpoint: {exc}") from None
+
+
+def load_model(path: str | Path, from_dict):
+    """``from_dict`` of the checkpoint at ``path``; a format error names the file."""
+    data = load_checkpoint(path)
+    try:
+        return from_dict(data)
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from None
+
+
+def check_header(data, kind: str, keys: tuple[str, ...]) -> None:
+    """Require a current-version checkpoint of ``kind`` holding every key of ``keys``."""
+    require_keys(data, ("format_version", "kind"), "checkpoint")
+    if data["format_version"] != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointFormatError(f"unsupported format_version {data['format_version']!r}")
+    if data["kind"] != kind:
+        raise CheckpointFormatError(f"expected an {kind} checkpoint, got kind={data['kind']!r}")
+    require_keys(data, keys, "checkpoint")
+
+
+def require_keys(data, keys, name: str) -> None:
+    if not isinstance(data, dict):
+        raise CheckpointFormatError(f"{name} is not a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise CheckpointFormatError(f"{name} is missing {', '.join(missing)}")
+
+
+def checkpoint_count(value, name: str) -> int:
+    if type(value) is not int or value < 1:
+        raise CheckpointFormatError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def checkpoint_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A finite float64 array of exactly ``shape``."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise CheckpointFormatError(f"{name} is not a numeric array") from None
+    if arr.shape != shape:
+        raise CheckpointFormatError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise CheckpointFormatError(f"{name} has non-finite values")
+    return arr
 
 
 def mlp_to_dict(model: MlpModel) -> dict:
@@ -392,35 +465,26 @@ def mlp_to_dict(model: MlpModel) -> dict:
     }
 
 
-def mlp_from_dict(data: dict) -> MlpModel:
-    widths = [int(w) for w in data["layer_widths"]]
-    weights = [np.asarray(w, dtype=np.float64) for w in data["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
-    model = MlpModel(
-        layer_widths=widths,
-        weights=weights,
-        biases=biases,
-        activations=list(data["activations"]),
-        dropout_after=frozenset(int(i) for i in data["dropout_after"]),
-    )
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        if w.shape != (widths[l + 1], widths[l]) or b.shape != (widths[l + 1],):
-            raise ValueError(f"checkpoint layer {l} has inconsistent shapes")
-    return model
-
-
-def save_mlp(path: str | Path, model: MlpModel) -> None:
-    save_checkpoint(
-        path,
-        {"format_version": CHECKPOINT_FORMAT_VERSION, "kind": "mlp", "mlp": mlp_to_dict(model)},
-    )
-
-
-def load_mlp(path: str | Path) -> MlpModel:
-    data = load_checkpoint(path)
-    if data.get("kind") != "mlp":
-        raise ValueError(f"expected an mlp checkpoint, got kind={data.get('kind')!r}")
-    return mlp_from_dict(data["mlp"])
+def mlp_from_dict(data: dict, name: str = "mlp") -> MlpModel:
+    require_keys(data, ("layer_widths", "activations", "dropout_after", "weights", "biases"), name)
+    widths = data["layer_widths"]
+    if not isinstance(widths, list) or len(widths) < 2:
+        raise CheckpointFormatError(f"{name}.layer_widths must list at least two widths")
+    widths = [checkpoint_count(w, f"{name}.layer_widths") for w in widths]
+    n_layers = len(widths) - 1
+    for key in ("activations", "weights", "biases"):
+        if not isinstance(data[key], list) or len(data[key]) != n_layers:
+            raise CheckpointFormatError(f"{name}.{key} must list one entry per layer ({n_layers})")
+    if any(a not in (ACT_SILU, ACT_IDENTITY) for a in data["activations"]):
+        raise CheckpointFormatError(f"{name}.activations has an unknown marker")
+    dropout_after = data["dropout_after"]
+    if not isinstance(dropout_after, list) or any(i not in range(n_layers) for i in dropout_after):
+        raise CheckpointFormatError(f"{name}.dropout_after must list layer indices")
+    weights, biases = [], []
+    for l, (w, b) in enumerate(zip(data["weights"], data["biases"])):
+        weights.append(checkpoint_array(w, (widths[l + 1], widths[l]), f"{name}.weights[{l}]"))
+        biases.append(checkpoint_array(b, (widths[l + 1],), f"{name}.biases[{l}]"))
+    return MlpModel(widths, weights, biases, list(data["activations"]), frozenset(dropout_after))
 
 
 def snapshot_params(params: list[np.ndarray]) -> list[np.ndarray]:

@@ -1,9 +1,10 @@
-"""Shared training loop for mixture models: minibatching, Adam, early stopping."""
+"""The one training loop, ``fit``, shared by the mixture models and the autoencoder."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -11,6 +12,9 @@ from . import dataset as dataset_mod
 from . import mdn, nncore
 from .mdn import MdnModel
 from .nncore import EarlyStopping
+
+if TYPE_CHECKING:
+    from .autoencoder import AeModel
 
 # sub-stream roles so one run seed drives every independent random choice
 ROLE_INIT = 1
@@ -66,9 +70,9 @@ class SupervisedArrays:
 
 @dataclass
 class TrainResult:
-    model: MdnModel
+    model: MdnModel | AeModel
     epochs: int
-    log: list[tuple[float, float]] = field(default_factory=list)  # (train_nll, val_nll)
+    log: list[tuple[float, float]] = field(default_factory=list)  # (train_loss, val_loss)
     best_val_loss: float = math.nan
 
 
@@ -83,23 +87,45 @@ def arrays_from_dataset(ds, x_matrix: np.ndarray | None = None) -> SupervisedArr
     if x.shape[0] != len(ds):
         raise ValueError(f"{x.shape[0]} input rows for {len(ds)} records")
     y = dataset_mod.normalize_designs(ds.designs)
-    parts = {}
+    parts = []
     for split in ("train", "val", "test"):
         idx = ds.indices(split)
-        parts[split] = (x[idx], y[idx])
-    return SupervisedArrays(
-        train_x=parts["train"][0],
-        train_y=parts["train"][1],
-        val_x=parts["val"][0],
-        val_y=parts["val"][1],
-        test_x=parts["test"][0],
-        test_y=parts["test"][1],
+        parts += [x[idx], y[idx]]
+    return SupervisedArrays(*parts)
+
+
+def fit(
+    params: list[np.ndarray],
+    n_train: int,
+    batch_loss_and_grads: Callable[[np.ndarray], tuple[float, list[np.ndarray]]],
+    val_loss: Callable[[], float],
+    config: TrainConfig,
+    shuffle_rng: np.random.Generator,
+) -> tuple[int, list[tuple[float, float]], float]:
+    """Adam on shuffled minibatches until early stopping; restores the best weights.
+
+    ``batch_loss_and_grads(idx)`` gives the mean loss over training rows ``idx``
+    and gradients ordered like ``params``.  Returns (epochs, log, best_val_loss).
+    """
+    adam = nncore.adam_init(params, learning_rate=config.learning_rate)
+    stopper = EarlyStopping(
+        patience=config.patience, min_delta=config.min_delta, max_epochs=config.max_epochs
     )
-
-
-def _minibatches(n: int, batch_size: int, perm: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
+    log: list[tuple[float, float]] = []
+    while True:
+        perm = shuffle_rng.permutation(n_train)
+        total = 0.0
+        for start in range(0, n_train, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            loss, grads = batch_loss_and_grads(idx)
+            nncore.adam_step(params, grads, adam)
+            total += loss * len(idx)
+        val = val_loss()
+        log.append((total / n_train, val))
+        if stopper.update(val, nncore.snapshot_params(params)):
+            break
+    nncore.restore_params(params, stopper.best_checkpoint)
+    return stopper.epoch, log, stopper.best_val_loss
 
 
 def train_mdn(
@@ -115,34 +141,15 @@ def train_mdn(
     logged validation loss is recomputed in eval mode, so reloading the best
     checkpoint reproduces it exactly.
     """
-    params = model.parameters()
-    adam = nncore.adam_init(params, learning_rate=config.learning_rate)
-    stopper = EarlyStopping(
-        patience=config.patience, min_delta=config.min_delta, max_epochs=config.max_epochs
+
+    def batch_loss_and_grads(idx):
+        return mdn.batch_nll_and_grads(
+            model, data.train_x[idx], data.train_y[idx],
+            train=True, dropout_rate=config.dropout_rate, rng=dropout_rng,
+        )
+
+    epochs, log, best = fit(
+        model.parameters(), data.train_x.shape[0], batch_loss_and_grads,
+        lambda: mdn.batch_nll(model, data.val_x, data.val_y), config, shuffle_rng,
     )
-    n = data.train_x.shape[0]
-    log: list[tuple[float, float]] = []
-    while True:
-        perm = shuffle_rng.permutation(n)
-        total, seen = 0.0, 0
-        for idx in _minibatches(n, config.batch_size, perm):
-            loss, grads = mdn.batch_nll_and_grads(
-                model,
-                data.train_x[idx],
-                data.train_y[idx],
-                train=True,
-                dropout_rate=config.dropout_rate,
-                rng=dropout_rng,
-            )
-            nncore.adam_step(params, grads, adam)
-            total += loss * len(idx)
-            seen += len(idx)
-        train_nll = total / seen
-        val_nll = mdn.batch_nll(model, data.val_x, data.val_y)
-        log.append((train_nll, val_nll))
-        if stopper.update(val_nll, nncore.snapshot_params(params)):
-            break
-    nncore.restore_params(params, stopper.best_checkpoint)
-    return TrainResult(
-        model=model, epochs=stopper.epoch, log=log, best_val_loss=stopper.best_val_loss
-    )
+    return TrainResult(model=model, epochs=epochs, log=log, best_val_loss=best)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mdn
 from .mdn import MdnHead, MdnModel
-from .nncore import TrainingDivergedError
+from .nncore import TrainingDivergedError, write_csv
 from .train import (
     ROLE_DONOR,
     ROLE_DROPOUT,
@@ -135,12 +135,6 @@ class SweepResult:
                 return e
         raise KeyError(f"no entry for K={k}")
 
-    def total_epochs(self) -> int:
-        return sum(e.epochs for e in self.entries)
-
-    def total_seconds(self) -> float:
-        return sum(e.seconds for e in self.entries)
-
 
 def sweep(
     data: SupervisedArrays,
@@ -209,34 +203,22 @@ def sweep(
 # byte-reproducible for a fixed seed; timing lives in its own sidecar CSV.
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_sweep_results(path: str | Path, result: SweepResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "strategy", "epochs", "train_nll", "val_nll", "test_nll"])
-        for e in result.entries:
-            writer.writerow(
-                [e.k, e.strategy, e.epochs, _fmt(e.train_nll), _fmt(e.val_nll), _fmt(e.test_nll)]
-            )
+    write_csv(
+        path,
+        ["K", "strategy", "epochs", "train_nll", "val_nll", "test_nll"],
+        ([e.k, e.strategy, e.epochs, e.train_nll, e.val_nll, e.test_nll] for e in result.entries),
+    )
 
 
 def write_sweep_timing(
     path: str | Path, result: SweepResult, ae_seconds: float | None = None
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "strategy", "seconds"])
-        total = 0.0
-        if ae_seconds is not None:
-            writer.writerow(["ae_train", "-", _fmt(ae_seconds)])
-            total += ae_seconds
-        for e in result.entries:
-            writer.writerow([f"k={e.k}", e.strategy, _fmt(e.seconds)])
-            total += e.seconds
-        writer.writerow(["total", result.entries[0].strategy if result.entries else "-", _fmt(total)])
+    rows = [] if ae_seconds is None else [["ae_train", "-", ae_seconds]]
+    rows += [[f"k={e.k}", e.strategy, e.seconds] for e in result.entries]
+    strategy = result.entries[0].strategy if result.entries else "-"
+    rows.append(["total", strategy, sum(row[2] for row in rows)])
+    write_csv(path, ["stage", "strategy", "seconds"], rows)
 
 
 def read_sweep_results(path: str | Path) -> list[dict]:

@@ -14,6 +14,7 @@ from specinv.train import (
     ROLE_AE_INIT,
     ROLE_AE_SHUFFLE,
     TrainConfig,
+    TrainResult,
     arrays_from_dataset,
     child_rng,
 )
@@ -66,7 +67,7 @@ def tl1_sweep(desk_arrays) -> TimedSweep:
 
 @dataclass
 class TrainedAe:
-    fit: autoencoder.AeTrainResult
+    fit: TrainResult
     wall_seconds: float
 
 

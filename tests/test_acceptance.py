@@ -230,7 +230,7 @@ def test_criterion_7_autoencoder(desk_dataset, trained_ae, tl1_sweep, ae_sweep):
     baseline = autoencoder.mean_baseline_mse(
         desk_dataset.spectra_for("train"), desk_dataset.spectra_for("val")
     )
-    recon_ok = fit.best_val_mse < baseline and fit.best_val_mse <= AE_VAL_MSE_THRESHOLD
+    recon_ok = fit.best_val_loss < baseline and fit.best_val_loss <= AE_VAL_MSE_THRESHOLD
     degradation_ok = True
     details = []
     for k in range(1, 6):
@@ -242,7 +242,7 @@ def test_criterion_7_autoencoder(desk_dataset, trained_ae, tl1_sweep, ae_sweep):
         7,
         recon_ok and degradation_ok,
         "autoencoder beats the mean baseline; latent sweep within 25% per K",
-        f"val MSE {fit.best_val_mse:.2e} vs baseline {baseline:.2e}; fd ratios {' '.join(details)}",
+        f"val MSE {fit.best_val_loss:.2e} vs baseline {baseline:.2e}; fd ratios {' '.join(details)}",
     )
 
 

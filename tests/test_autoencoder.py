@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specinv import autoencoder, dataset, nncore
+from specinv import autoencoder, dataset, mdn, nncore
 from specinv.autoencoder import (
     DECODER_WIDTHS,
     ENCODER_WIDTHS,
@@ -79,7 +79,7 @@ class TestTraining:
         fit = train_ae(spectra, spectra, cfg,
                        shuffle_rng=np.random.default_rng(1),
                        rng=np.random.default_rng(2))
-        assert fit.best_val_mse <= 1e-6
+        assert fit.best_val_loss <= 1e-6
 
     def test_beats_mean_baseline(self):
         ds = dataset.generate_dataset(80, seed=5)
@@ -90,7 +90,7 @@ class TestTraining:
         fit = train_ae(train, val, cfg,
                        shuffle_rng=np.random.default_rng(3),
                        rng=np.random.default_rng(4))
-        assert fit.best_val_mse < mean_baseline_mse(train, val)
+        assert fit.best_val_loss < mean_baseline_mse(train, val)
 
     def test_best_val_tracks_log_minimum(self):
         ds = dataset.generate_dataset(40, seed=6)
@@ -99,11 +99,11 @@ class TestTraining:
                        shuffle_rng=np.random.default_rng(5),
                        rng=np.random.default_rng(6))
         vals = [v for _, v in fit.log]
-        assert fit.best_val_mse == min(vals)
+        assert fit.best_val_loss == min(vals)
         assert fit.epochs == len(fit.log)
         # restored model reproduces the best logged value
         assert reconstruction_mse(fit.model, ds.spectra_for("val")) == pytest.approx(
-            fit.best_val_mse, abs=1e-12
+            fit.best_val_loss, abs=1e-12
         )
 
     def test_latent_width_fixed_regardless_of_config(self):
@@ -146,7 +146,7 @@ class TestCheckpoint:
 
     def test_wrong_kind_rejected(self, tmp_path):
         rng = np.random.default_rng(14)
-        path = tmp_path / "mlp.json"
-        nncore.save_mlp(path, nncore.init_mlp([4, 2], rng))
+        path = tmp_path / "mdn.json"
+        mdn.save_mdn(path, mdn.build_mdn(4, 1, rng, n_targets=2, trunk_widths=[4, 3]))
         with pytest.raises(ValueError, match="autoencoder"):
             load_ae(path)

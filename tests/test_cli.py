@@ -1,6 +1,7 @@
 """End-to-end command-line behavior on tiny datasets."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -227,6 +228,54 @@ class TestPredict:
             "--spectrum-file", bad, "--top", 1, "--out", tmp_path / "p4",
         )
         assert code == EXIT_IO
+
+
+def _edit_json(edit):
+    def apply(text):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+
+    return apply
+
+
+CHECKPOINT_DEFECTS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "format_version_99": _edit_json(lambda d: d.update(format_version=99)),
+    "missing_head_pi_b": _edit_json(lambda d: d["head"].pop("pi_b")),
+    "mu_w_short_by_one_row": _edit_json(lambda d: d["head"]["mu_w"].pop()),
+}
+
+
+class TestBadInputs:
+    """Malformed files exit with the file-format code and one message line, no traceback."""
+
+    @pytest.fixture()
+    def checkpoint(self, tmp_path):
+        path = tmp_path / "mdn.json"
+        mdn.save_mdn(path, mdn.build_mdn(101, 3, np.random.default_rng(0)))
+        return path
+
+    def predict(self, checkpoint, values, out):
+        spectrum = out.parent / "spectrum.txt"
+        spectrum.write_text(" ".join(values))
+        return run("predict", "--checkpoint", checkpoint, "--spectrum-file", spectrum,
+                   "--top", 1, "--out", out)
+
+    @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
+    def test_malformed_checkpoint(self, defect, checkpoint, tmp_path, capsys):
+        checkpoint.write_text(CHECKPOINT_DEFECTS[defect](checkpoint.read_text()))
+        code = self.predict(checkpoint, ["0.5"] * 101, tmp_path / "pred")
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.25", "1.5"])
+    def test_absorbance_outside_unit_interval(self, value, checkpoint, tmp_path):
+        code = self.predict(checkpoint, ["0.5"] * 100 + [value], tmp_path / "pred")
+        assert code == EXIT_IO
+        assert not (tmp_path / "pred").exists()
 
 
 class TestReport:

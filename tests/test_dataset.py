@@ -21,36 +21,11 @@ from specinv.dataset import (
     peak_parameters,
     save_dataset,
     scale_and_filter,
-    sobol_scrambled,
     split_counts,
     surrogate_spectra,
     surrogate_spectrum,
     witness_pair,
 )
-
-
-class TestSobol:
-    def test_unscrambled_second_point_is_center(self):
-        pts = sobol_scrambled(2, seed=0, scramble=False)
-        np.testing.assert_array_equal(pts[1], np.full(5, 0.5))
-
-    def test_range(self):
-        pts = sobol_scrambled(512, seed=3)
-        assert np.all(pts >= 0.0) and np.all(pts < 1.0)
-
-    def test_equidistribution(self):
-        pts = sobol_scrambled(4096, seed=1)
-        means = pts.mean(axis=0)
-        assert np.all(means >= 0.48) and np.all(means <= 0.52)
-
-    def test_determinism(self):
-        a = sobol_scrambled(64, seed=5)
-        b = sobol_scrambled(64, seed=5)
-        np.testing.assert_array_equal(a, b)
-
-    def test_only_five_dims(self):
-        with pytest.raises(ValueError, match="dim"):
-            sobol_scrambled(4, dim=3)
 
 
 class TestScaleAndFilter:
@@ -92,6 +67,10 @@ class TestDesignParams:
     def test_gap_validated(self):
         with pytest.raises(ValueError, match="gap"):
             DesignParams(310.0, 150.0, 200.0, 100.0, 100.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DesignParams(math.nan, 45.0, 200.0, 100.0, 100.0)
 
     def test_normalization_round_trip(self):
         rng = np.random.default_rng(4)
@@ -223,6 +202,19 @@ class TestPersistence:
         lines[4] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="line 5"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("column", [2, 10])  # a design field, an absorbance value
+    def test_nan_reports_line(self, tmp_path, column):
+        ds = build_dataset(generate_designs(12, seed=1), seed=1)
+        path = tmp_path / "data.csv"
+        save_dataset(path, ds)
+        lines = path.read_text().splitlines()
+        cells = lines[6].split(",")
+        cells[column] = "nan"
+        lines[6] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="line 7"):
             load_dataset(path)
 
     def test_non_numeric_value_reports_line(self, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specinv import nncore
+from specinv import mdn, nncore
 from specinv.nncore import (
     ACT_IDENTITY,
     ACT_SILU,
@@ -287,8 +287,8 @@ class TestCheckpoint:
         rng = np.random.default_rng(11)
         model = init_mlp([7, 5, 3], rng, dropout_after={0})
         path = tmp_path / "model.json"
-        nncore.save_mlp(path, model)
-        loaded = nncore.load_mlp(path)
+        nncore.save_checkpoint(path, {"mlp": nncore.mlp_to_dict(model)})
+        loaded = nncore.mlp_from_dict(nncore.load_checkpoint(path)["mlp"])
         assert loaded.layer_widths == model.layer_widths
         assert loaded.activations == model.activations
         assert loaded.dropout_after == model.dropout_after
@@ -301,13 +301,59 @@ class TestCheckpoint:
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        nncore.save_checkpoint(path, {"kind": "something-else"})
+        nncore.save_checkpoint(
+            path, {"format_version": nncore.CHECKPOINT_FORMAT_VERSION, "kind": "something-else"}
+        )
         with pytest.raises(ValueError, match="kind"):
-            nncore.load_mlp(path)
+            mdn.load_mdn(path)
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             nncore.dump_checkpoint_text({"x": float("inf")})
+
+    def test_non_finite_array_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            nncore.dump_checkpoint_text({"w": np.array([[1.0, 2.0], [np.inf, 0.0]])})
+
+    def test_text_layout_pinned(self):
+        payload = {
+            "format_version": 1,
+            "kind": "pin",
+            "flag": True,
+            "missing": None,
+            "rate": 0.001,
+            "empty_dict": {},
+            "empty_list": [],
+            "nested": {
+                "vector": np.array([0.1, -2.5, 1e-300]),
+                "matrix": np.array([[1.0, 2.0], [3.0, 0.30000000000000004]]),
+                "inner": {"off": False, "records": [{"a": 1}]},
+            },
+            "layers": [np.array([0.5]), np.array([[-1.0, 1e20]])],
+        }
+        expected = (
+            "{\n"
+            '  "format_version": 1,\n'
+            '  "kind": "pin",\n'
+            '  "flag": true,\n'
+            '  "missing": null,\n'
+            '  "rate": 0.001,\n'
+            '  "empty_dict": {},\n'
+            '  "empty_list": [],\n'
+            '  "nested": {\n'
+            '    "vector": [0.10000000000000001, -2.5, 1e-300],\n'
+            '    "matrix": [[1, 2], [3, 0.30000000000000004]],\n'
+            '    "inner": {\n'
+            '      "off": false,\n'
+            '      "records": [{\n'
+            '          "a": 1\n'
+            "        }]\n"
+            "    }\n"
+            "  },\n"
+            '  "layers": [[0.5], [[-1, 1e+20]]]\n'
+            "}\n"
+        )
+        assert nncore.dump_checkpoint_text(payload) == expected
 
 
 class TestDeterminism:
