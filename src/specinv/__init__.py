@@ -32,7 +32,7 @@ from .mdn import (
 )
 from .nncore import AdamState, EarlyStopping, MlpModel, TrainingDivergedError, silu
 from .train import TrainConfig, arrays_from_dataset, train_mdn
-from .transfer import GrowthStrategy, SweepResult, grow, sweep
+from .transfer import SweepResult, grow, sweep
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "AeModel",
     "DesignParams",
     "EarlyStopping",
-    "GrowthStrategy",
     "LOSS_CEILING",
     "LabeledDataset",
     "MdnModel",

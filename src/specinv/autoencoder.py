@@ -65,14 +65,10 @@ def train_ae(
     val_spectra: np.ndarray,
     config: TrainConfig,
     shuffle_rng: np.random.Generator,
-    rng: np.random.Generator | None = None,
-    model: AeModel | None = None,
+    rng: np.random.Generator,
 ) -> TrainResult:
-    """Minimize reconstruction MSE; returns the best-validation model."""
-    if model is None:
-        if rng is None:
-            raise ValueError("need an init rng when no model is supplied")
-        model = init_ae(rng)
+    """Minimize reconstruction MSE from ``init_ae(rng)``; returns the best-validation model."""
+    model = init_ae(rng)
 
     def batch_loss_and_grads(idx):
         batch = train_spectra[idx]

@@ -45,43 +45,32 @@ OUT_DIR_ENV = "SPECINV_OUT_DIR"
 
 
 @dataclass
-class RunConfig:
-    """Everything a run needs; defaults follow the reference setup."""
+class RunConfig(TrainConfig):
+    """Everything a run needs: the training hyperparameters plus what to run on."""
 
-    seed: int = 0
     dataset: str = ""
     k: int = 1
     k_max: int = 10
     strategy: str = "none"
     autoencoder: bool = False
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    max_epochs: int = 1000
-    patience: int = 50
-    min_delta: float = 1e-4
-    dropout_rate: float = 0.2
-    warm_start_jitter: float = 0.1
     out: str = "run"
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            min_delta=self.min_delta,
-            dropout_rate=self.dropout_rate,
-            seed=self.seed,
-            warm_start_jitter=self.warm_start_jitter,
-        )
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("k", "k_max"):
+            self._require(name, getattr(self, name) >= 1, ">= 1")
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def parse_config_file(path: str | Path) -> dict:
-    """key = value lines; '#' starts a comment; keys match RunConfig fields."""
+def parse_config_file(path: str | Path, command: str) -> dict:
+    """key = value lines; '#' starts a comment; keys match RunConfig fields.
+
+    A ``command`` line, which ``write_config`` records, must name ``command``,
+    the subcommand being run, so a run's own config.txt replays it.
+    """
     defaults = RunConfig()
     types = {f.name: type(getattr(defaults, f.name)) for f in dataclasses.fields(RunConfig)}
     values = {}
@@ -94,6 +83,10 @@ def parse_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key == "command":
+            if value != command:
+                raise ValueError(f"{path}: line {lineno}: command {value!r} is not {command!r}")
+            continue
         if key not in types:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
         ty = types[key]
@@ -121,7 +114,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by --config file values, overridden by CLI flags."""
     values = {}
     if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
+        values.update(parse_config_file(args.config, args.command))
     for f in dataclasses.fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -138,9 +131,9 @@ def resolve_out(path: str) -> Path:
     return p
 
 
-def _write_log_csv(path: Path, log: list[tuple[float, float]]) -> None:
+def _write_log_csv(path: Path, log: list[tuple[float, float]], loss: str) -> None:
     rows = ([epoch, train, val] for epoch, (train, val) in enumerate(log, start=1))
-    write_csv(path, ["epoch", "train_nll", "val_nll"], rows)
+    write_csv(path, ["epoch", f"train_{loss}", f"val_{loss}"], rows)
 
 
 def _read_log_csv(path: Path) -> list[tuple[int, float, float]]:
@@ -206,15 +199,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     fit = train_mdn(
         model,
         arrays,
-        cfg.train_config(),
+        cfg,
         shuffle_rng=child_rng(cfg.seed, k, ROLE_SHUFFLE),
         dropout_rng=child_rng(cfg.seed, k, ROLE_DROPOUT),
     )
     mdn.save_mdn(out_dir / f"mdn_k{k:02d}.json", model)
-    _write_log_csv(out_dir / f"log_k{k:02d}.csv", fit.log)
+    _write_log_csv(out_dir / f"log_k{k:02d}.csv", fit.log, "nll")
     write_config(out_dir / "config.txt", cfg, "train")
-    val_nll = mdn.batch_nll(model, arrays.val_x, arrays.val_y)
-    print(f"K={k}: {fit.epochs} epochs, best val NLL {val_nll:.6f}")
+    print(f"K={k}: {fit.epochs} epochs, best val NLL {fit.best_val_loss:.6f}")
     return EXIT_OK
 
 
@@ -223,20 +215,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ds, arrays = _load_arrays(cfg)
     out_dir = resolve_out(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tc = cfg.train_config()
     ae_seconds = None
     if cfg.autoencoder:
         t0 = time.perf_counter()
         ae_fit = autoencoder.train_ae(
             ds.spectra_for("train"),
             ds.spectra_for("val"),
-            tc,
+            cfg,
             shuffle_rng=child_rng(cfg.seed, ROLE_AE_SHUFFLE),
             rng=child_rng(cfg.seed, ROLE_AE_INIT),
         )
         ae_seconds = time.perf_counter() - t0
         autoencoder.save_ae(out_dir / "ae.json", ae_fit.model)
-        _write_log_csv(out_dir / "ae_log.csv", ae_fit.log)
+        _write_log_csv(out_dir / "ae_log.csv", ae_fit.log, "mse")
         latents = autoencoder.encode(ae_fit.model, ds.spectra)
         arrays = arrays_from_dataset(ds, x_matrix=latents)
         # diagnostic only: how close encode(decode(z)) comes to fixing the latents
@@ -250,11 +241,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"val reconstruction MSE {ae_fit.best_val_loss:.3e}, "
             f"latent round-trip MSE {latent_mse:.3e}"
         )
-    strategy = transfer.GrowthStrategy(cfg.strategy)
-    result = transfer.sweep(arrays, cfg.k_max, strategy, tc)
+    result = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg)
     for entry in result.entries:
         mdn.save_mdn(out_dir / f"mdn_k{entry.k:02d}.json", entry.model)
-        _write_log_csv(out_dir / f"log_k{entry.k:02d}.csv", entry.log)
+        _write_log_csv(out_dir / f"log_k{entry.k:02d}.csv", entry.log, "nll")
     transfer.write_sweep_results(out_dir / "sweep_results.csv", result)
     transfer.write_sweep_timing(out_dir / "sweep_timing.csv", result, ae_seconds=ae_seconds)
     write_config(out_dir / "config.txt", cfg, "sweep")
@@ -437,7 +427,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a single K-component model from scratch")
     p.add_argument("--dataset", default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--strategy", choices=[transfer.STRATEGY_NONE], default=None)
     p.add_argument("--out", default=None)
     _add_common_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -445,11 +434,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train models for K = 1..k_max")
     p.add_argument("--dataset", default=None)
     p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument(
-        "--strategy",
-        choices=[transfer.STRATEGY_NONE, transfer.STRATEGY_TL1, transfer.STRATEGY_TL2],
-        default=None,
-    )
+    p.add_argument("--strategy", choices=transfer.STRATEGIES, default=None)
     p.add_argument(
         "--autoencoder", action="store_const", const=True, default=None,
         help="train an autoencoder first and sweep on 10-dim latents",

@@ -2,7 +2,7 @@
 model, train/val/test splits, and CSV persistence.
 
 Designs are five geometric parameters (p, w, h1, h2, h3, all nm) drawn from a
-scrambled Sobol sequence over fixed intervals, subject to the fabrication
+randomized Sobol sequence over fixed intervals, subject to the fabrication
 constraint p - w >= 200 nm.  The forward model maps a design to a 101-sample
 absorbance spectrum on the 400-700 nm grid via three Gaussian resonances whose
 centers involve sin and fractional-part terms, so distinct designs can produce
@@ -93,11 +93,11 @@ def scale_and_filter(points: np.ndarray) -> list[DesignParams]:
     return [DesignParams.from_array(row) for row in scaled[keep]]
 
 
-def generate_designs(n: int, seed: int = 0, scramble: bool = True) -> list[DesignParams]:
-    """Valid designs from one Sobol stream, consuming points until n survive the filter."""
+def generate_designs(n: int, seed: int) -> list[DesignParams]:
+    """Valid designs from one randomized Sobol stream, drawn until n survive the filter."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    engine = qmc.Sobol(d=N_DIMS, scramble=scramble, seed=seed)
+    engine = qmc.Sobol(d=N_DIMS, seed=seed)
     designs: list[DesignParams] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -242,7 +242,7 @@ def build_dataset(designs: list[DesignParams], seed: int) -> LabeledDataset:
     )
 
 
-def generate_dataset(n: int = DEFAULT_SAMPLE_COUNT, seed: int = 0) -> LabeledDataset:
+def generate_dataset(n: int, seed: int) -> LabeledDataset:
     """End-to-end generation: Sobol designs -> spectra -> shuffled 80/10/10 split."""
     return build_dataset(generate_designs(n, seed=seed), seed=seed)
 

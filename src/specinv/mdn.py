@@ -363,15 +363,14 @@ def weighted_marginal_pdf(mix: MixtureParams, param_index: int, grid: np.ndarray
     return comps @ mix.pi
 
 
-def marginal_grid(mix: MixtureParams, param_index: int, n_sigmas: float = 8.0,
-                  max_points: int = 8192) -> np.ndarray:
-    """Grid spanning mu +/- n_sigmas*sigma over all components, fine enough to integrate."""
+def marginal_grid(mix: MixtureParams, param_index: int) -> np.ndarray:
+    """Grid spanning mu +/- 8 sigma over all components, fine enough to integrate."""
     mu = mix.mu[:, param_index]
     sigma = mix.sigma[:, param_index]
-    lo = float(np.min(mu - n_sigmas * sigma))
-    hi = float(np.max(mu + n_sigmas * sigma))
+    lo = float(np.min(mu - 8.0 * sigma))
+    hi = float(np.max(mu + 8.0 * sigma))
     step = float(np.min(sigma)) / 8.0
-    n = min(max_points, max(1001, int(math.ceil((hi - lo) / step)) + 1))
+    n = min(8192, max(1001, int(math.ceil((hi - lo) / step)) + 1))
     return np.linspace(lo, hi, n)
 
 

@@ -228,22 +228,24 @@ def backward(
     return _interleave(grad_w, grad_b), input_grad
 
 
+MOMENT1_DECAY = 0.9
+MOMENT2_DECAY = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments matching a parameter list element-for-element."""
 
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
+    learning_rate: float
     step_count: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     # reused work buffers, never part of the optimizer's logical state
     _scratch: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
-def adam_init(params: list[np.ndarray], learning_rate: float = 1e-3) -> AdamState:
+def adam_init(params: list[np.ndarray], learning_rate: float) -> AdamState:
     return AdamState(
         first_moment=[np.zeros_like(p) for p in params],
         second_moment=[np.zeros_like(p) for p in params],
@@ -264,24 +266,24 @@ def adam_step(
         state._scratch = [np.empty_like(p) for p in params]
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - MOMENT1_DECAY**t
+    bc2 = 1.0 - MOMENT2_DECAY**t
     for p, g, m, v, work in zip(
         params, grads, state.first_moment, state.second_moment, state._scratch
     ):
         if p.shape != g.shape or p.shape != m.shape:
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=work)
+        m *= MOMENT1_DECAY
+        np.multiply(g, 1.0 - MOMENT1_DECAY, out=work)
         m += work
-        v *= state.beta2
+        v *= MOMENT2_DECAY
         np.multiply(g, g, out=work)
-        work *= 1.0 - state.beta2
+        work *= 1.0 - MOMENT2_DECAY
         v += work
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), built in the work buffer
         np.divide(v, bc2, out=work)
         np.sqrt(work, out=work)
-        work += state.epsilon
+        work += ADAM_EPSILON
         np.divide(m, work, out=work)
         work *= state.learning_rate / bc1
         p -= work
@@ -296,9 +298,9 @@ class EarlyStopping:
     should stop (patience exhausted or the epoch cap reached).
     """
 
-    patience: int = 50
-    min_delta: float = 1e-4
-    max_epochs: int = 1000
+    patience: int
+    min_delta: float
+    max_epochs: int
     best_val_loss: float = math.inf
     best_checkpoint: object = None
     epochs_since_improvement: int = 0

@@ -51,6 +51,21 @@ class TrainConfig:
     seed: int = 0
     warm_start_jitter: float = 0.1
 
+    def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience"):
+            self._require(name, getattr(self, name) >= 1, ">= 1")
+        self._require("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "in [0, 1)")
+        lr = self.learning_rate
+        self._require("learning_rate", math.isfinite(lr) and lr > 0.0, "finite and > 0")
+        for name in ("min_delta", "warm_start_jitter"):
+            value = getattr(self, name)
+            self._require(name, math.isfinite(value) and value >= 0.0, "finite and >= 0")
+        self._require("seed", self.seed >= 0, ">= 0")
+
+    def _require(self, name: str, ok: bool, rule: str) -> None:
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class SupervisedArrays:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,41 +36,29 @@ from .train import (
 STRATEGY_NONE = "none"
 STRATEGY_TL1 = "tl1"
 STRATEGY_TL2 = "tl2"
-_STRATEGIES = (STRATEGY_NONE, STRATEGY_TL1, STRATEGY_TL2)
+STRATEGIES = (STRATEGY_NONE, STRATEGY_TL1, STRATEGY_TL2)
 
 
-@dataclass(frozen=True)
-class GrowthStrategy:
-    """How to initialize a K-component model; rng_seed only matters for tl1."""
-
-    kind: str
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {self.kind!r}; expected one of {_STRATEGIES}")
-
-    @property
-    def is_transfer(self) -> bool:
-        return self.kind in (STRATEGY_TL1, STRATEGY_TL2)
+def choose_donor(strategy: str, seed: int, k: int) -> int:
+    """Index of the component that ``grow`` clones into component k: tl2 takes
+    component 1, tl1 draws one from the run seed's donor stream for this K."""
+    if strategy == STRATEGY_TL2:
+        return 0
+    donor_seed = int(child_rng(seed, k, ROLE_DONOR).integers(np.iinfo(np.int64).max))
+    return int(child_rng(donor_seed).integers(k - 1))
 
 
-def grow(model_prev: MdnModel, strategy: GrowthStrategy) -> MdnModel:
+def grow(model_prev: MdnModel, donor: int) -> MdnModel:
     """Untrained K-component model initialized from a trained (K-1)-component one."""
-    if not strategy.is_transfer:
-        raise ValueError("grow is only defined for the tl1/tl2 strategies")
     head_prev = model_prev.head
     if head_prev.feature_width != model_prev.trunk.output_width:
         raise ValueError("head feature width does not match trunk output width")
     k_prev = head_prev.n_components
+    if not 0 <= donor < k_prev:
+        raise ValueError(f"donor {donor} out of range [0, {k_prev})")
     n = head_prev.n_targets
     f = head_prev.feature_width
     k_new = k_prev + 1
-
-    if strategy.kind == STRATEGY_TL1:
-        donor = int(child_rng(strategy.rng_seed).integers(k_prev))
-    else:
-        donor = 0
 
     def extend(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = slice(donor * n, (donor + 1) * n)
@@ -139,7 +127,7 @@ class SweepResult:
 def sweep(
     data: SupervisedArrays,
     k_max: int,
-    strategy: GrowthStrategy,
+    strategy: str,
     config: TrainConfig,
     trunk_widths: list[int] | None = None,
     n_targets: int = mdn.N_DESIGN_PARAMS,
@@ -152,19 +140,18 @@ def sweep(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     result = SweepResult()
     prev_model: MdnModel | None = None
     for k in range(1, k_max + 1):
-        if k == 1 or not strategy.is_transfer:
+        if k == 1 or strategy == STRATEGY_NONE:
             init_rng = child_rng(config.seed + k, ROLE_INIT)
             model = mdn.build_mdn(
                 data.input_width, k, init_rng, n_targets=n_targets, trunk_widths=trunk_widths
             )
         else:
-            donor_seed = int(
-                child_rng(config.seed, k, ROLE_DONOR).integers(np.iinfo(np.int64).max)
-            )
-            model = grow(prev_model, replace(strategy, rng_seed=donor_seed))
+            model = grow(prev_model, choose_donor(strategy, config.seed, k))
             perturb_new_component(
                 model, child_rng(config.seed, k, ROLE_WARM_JITTER), config.warm_start_jitter
             )
@@ -183,11 +170,11 @@ def sweep(
         result.entries.append(
             SweepEntry(
                 k=k,
-                strategy=strategy.kind,
+                strategy=strategy,
                 epochs=fit.epochs,
                 seconds=seconds,
                 train_nll=mdn.batch_nll(model, data.train_x, data.train_y),
-                val_nll=mdn.batch_nll(model, data.val_x, data.val_y),
+                val_nll=fit.best_val_loss,
                 test_nll=mdn.batch_nll(model, data.test_x, data.test_y),
                 model=model,
                 log=fit.log,

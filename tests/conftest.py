@@ -51,7 +51,7 @@ def desk_arrays(desk_dataset):
 
 def _timed_sweep(arrays, k_max, kind) -> TimedSweep:
     t0 = time.perf_counter()
-    result = transfer.sweep(arrays, k_max, transfer.GrowthStrategy(kind), accept_config())
+    result = transfer.sweep(arrays, k_max, kind, accept_config())
     return TimedSweep(result=result, wall_seconds=time.perf_counter() - t0)
 
 

@@ -77,7 +77,7 @@ def test_criterion_3_growth_exactness(tl1_sweep):
     uniform_ok = True
     inherit_ok = True
     for kind in ("tl1", "tl2"):
-        child = transfer.grow(parent, transfer.GrowthStrategy(kind, rng_seed=11))
+        child = transfer.grow(parent, transfer.choose_donor(kind, ACCEPT_SEED, 4))
         for _ in range(100):
             x = rng.random(101)
             mix_c = mdn.mixture_for(child, x)
@@ -85,7 +85,7 @@ def test_criterion_3_growth_exactness(tl1_sweep):
             uniform_ok &= bool(np.max(np.abs(mix_c.pi - 0.25)) <= 1e-15)
             inherit_ok &= np.array_equal(mix_c.mu[:3], mix_p.mu)
             inherit_ok &= np.array_equal(mix_c.sigma[:3], mix_p.sigma)
-    tl2_child = transfer.grow(parent, transfer.GrowthStrategy("tl2"))
+    tl2_child = transfer.grow(parent, transfer.choose_donor("tl2", ACCEPT_SEED, 4))
     n = parent.head.n_targets
     clone_ok = (
         np.array_equal(tl2_child.head.mu_w[3 * n :], parent.head.mu_w[:n])
@@ -195,7 +195,7 @@ def test_criterion_5_fails_on_locked_clones(desk_dataset):
     single = mdn.build_mdn(101, 1, np.random.default_rng(505))
     model = single
     for _ in range(9):
-        model = transfer.grow(model, transfer.GrowthStrategy("tl2"))
+        model = transfer.grow(model, 0)
     spectrum = desk_dataset.spectra[desk_dataset.indices("test")[0]]
     assert np.array_equal(
         mdn.mixture_for(model, spectrum).mu,

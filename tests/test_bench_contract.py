@@ -53,7 +53,7 @@ def test_training_goes_through_the_traced_names(tracer_module):
     tracer = tracer_module.Tracer()
     tracer_module.install(tracer)
     try:
-        transfer.sweep(arrays, 2, transfer.GrowthStrategy("tl1"), config,
+        transfer.sweep(arrays, 2, "tl1", config,
                        trunk_widths=[6, 8], n_targets=2)
         autoencoder.train_ae(spectra[:8], spectra[8:], config,
                              shuffle_rng=np.random.default_rng(1), rng=np.random.default_rng(2))

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior on tiny datasets."""
 
 import csv
+import dataclasses
 import json
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from specinv import autoencoder, cli, dataset, mdn
+from specinv import autoencoder, cli, dataset, mdn, transfer
 from specinv.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -19,6 +23,10 @@ def tiny_dataset(tmp_path):
     path = tmp_path / "data.csv"
     assert run("gen-data", "--samples", 60, "--seed", 3, "--out", path) == EXIT_OK
     return path
+
+
+# config values are single-line and '#'-free; paths drawn from these characters are
+PATH_TEXT = st.text(string.ascii_letters + string.digits + "/._-", max_size=30)
 
 
 def read_csv(path):
@@ -137,6 +145,9 @@ class TestSweep:
         assert autoencoder.encode(ae, np.zeros(101)).shape == (10,)
         stages = [line.split(",")[0] for line in (out / "sweep_timing.csv").read_text().splitlines()[1:]]
         assert stages[0] == "ae_train"
+        # the autoencoder's log holds reconstruction MSE, not mixture NLL
+        assert (out / "ae_log.csv").read_text().splitlines()[0] == "epoch,train_mse,val_mse"
+        assert (out / "log_k01.csv").read_text().splitlines()[0] == "epoch,train_nll,val_nll"
 
     def test_divergence_exit_code(self, tiny_dataset, tmp_path):
         code = run(
@@ -356,8 +367,84 @@ class TestConfigFile:
     def test_boolean_values(self, tmp_path):
         cfg = tmp_path / "b.cfg"
         cfg.write_text("autoencoder = yes\n")
-        values = cli.parse_config_file(cfg)
+        values = cli.parse_config_file(cfg, "sweep")
         assert values["autoencoder"] is True
+
+    def test_run_config_replays(self, tiny_dataset, tmp_path):
+        first, second = tmp_path / "r1", tmp_path / "r2"
+        code = run(
+            "train", "--dataset", tiny_dataset, "--k", 1, "--out", first, "--seed", 5,
+            "--max-epochs", 6, "--batch-size", 16, "--learning-rate", 0.003, "--dropout", 0.1,
+        )
+        assert code == EXIT_OK
+        assert run("train", "--config", first / "config.txt", "--out", second) == EXIT_OK
+        for name in ("mdn_k01.json", "log_k01.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_config_of_another_command_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("command = sweep\nseed = 1\n")
+        code = run("train", "--config", cfg, "--out", tmp_path / "x")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "line 1" in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @settings(max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=st.builds(
+        cli.RunConfig,
+        seed=st.integers(0, 2**63 - 1),
+        dataset=PATH_TEXT,
+        out=PATH_TEXT,
+        k=st.integers(1, 10**6),
+        k_max=st.integers(1, 10**6),
+        strategy=st.sampled_from(transfer.STRATEGIES),
+        autoencoder=st.booleans(),
+        batch_size=st.integers(1, 10**6),
+        max_epochs=st.integers(1, 10**6),
+        patience=st.integers(1, 10**6),
+        learning_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        min_delta=st.floats(min_value=0.0, allow_infinity=False),
+        dropout_rate=st.floats(0.0, 1.0, exclude_max=True),
+        warm_start_jitter=st.floats(min_value=0.0, allow_infinity=False),
+    ))
+    def test_write_then_parse_round_trips(self, cfg, tmp_path):
+        path = tmp_path / "config.txt"
+        cli.write_config(path, cfg, "sweep")
+        values = cli.parse_config_file(path, "sweep")
+        assert set(values) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert cli.RunConfig(**values) == cfg
+
+
+# one case per out-of-range setting; each must stop before any output is written
+BAD_SETTINGS = [
+    ("train", "--k", "0"),
+    ("train", "--batch-size", "-5"),
+    ("train", "--dropout", "-0.5"),
+    ("train", "--dropout", "1"),
+    ("train", "--learning-rate", "nan"),
+    ("train", "--max-epochs", "0"),
+    ("train", "--patience", "0"),
+    ("train", "--min-delta", "nan"),
+    ("train", "--warm-start-jitter", "-0.1"),
+    ("train", "--seed", "-1"),
+    ("sweep", "--k-max", "0"),
+]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command,flag,value", BAD_SETTINGS,
+                             ids=[f"{c}{f}={v}" for c, f, v in BAD_SETTINGS])
+    def test_out_of_range_setting_is_usage_error(self, command, flag, value, tiny_dataset,
+                                                 tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(command, "--dataset", tiny_dataset, "--out", out, "--max-epochs", 2,
+                   "--batch-size", 16, flag, value)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "must be" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -19,6 +19,7 @@ from specinv.nncore import (
     init_mlp,
     silu,
 )
+from specinv.train import TrainConfig
 
 
 def finite_difference_grads(loss_fn, params, h=1e-5):
@@ -207,7 +208,7 @@ class TestAdam:
         rng = np.random.default_rng(0)
         params = [rng.normal(size=(3, 2)), rng.normal(size=3)]
         before = [p.copy() for p in params]
-        state = adam_init(params)
+        state = adam_init(params, learning_rate=1e-3)
         for _ in range(25):
             adam_step(params, [np.zeros_like(p) for p in params], state)
         for p, b in zip(params, before):
@@ -224,23 +225,22 @@ class TestAdam:
 
     def test_step_count(self):
         params = [np.ones(2)]
-        state = adam_init(params)
+        state = adam_init(params, learning_rate=1e-3)
         for n in range(1, 6):
             adam_step(params, [np.ones(2)], state)
             assert state.step_count == n
 
     def test_shape_mismatch_raises(self):
         params = [np.ones((2, 2))]
-        state = adam_init(params)
+        state = adam_init(params, learning_rate=1e-3)
         with pytest.raises(ValueError):
             adam_step(params, [np.ones(3)], state)
 
     def test_defaults(self):
-        state = adam_init([np.zeros(1)])
-        assert state.beta1 == 0.9
-        assert state.beta2 == 0.999
-        assert state.epsilon == 1e-8
-        assert state.learning_rate == 1e-3
+        assert nncore.MOMENT1_DECAY == 0.9
+        assert nncore.MOMENT2_DECAY == 0.999
+        assert nncore.ADAM_EPSILON == 1e-8
+        assert TrainConfig().learning_rate == 1e-3
 
 
 class TestEarlyStopping:
@@ -269,7 +269,7 @@ class TestEarlyStopping:
 
     def test_best_val_loss_non_increasing(self):
         rng = np.random.default_rng(0)
-        stop = EarlyStopping(patience=1000, max_epochs=2000)
+        stop = EarlyStopping(patience=1000, min_delta=1e-4, max_epochs=2000)
         prev = math.inf
         for loss in rng.uniform(0.0, 5.0, size=200):
             stop.update(float(loss), checkpoint=None)
@@ -277,7 +277,7 @@ class TestEarlyStopping:
             prev = stop.best_val_loss
 
     def test_nan_loss_raises(self):
-        stop = EarlyStopping()
+        stop = EarlyStopping(patience=50, min_delta=1e-4, max_epochs=1000)
         with pytest.raises(TrainingDivergedError):
             stop.update(float("nan"), checkpoint=None)
 
@@ -367,7 +367,7 @@ class TestDeterminism:
             x = data_rng.normal(size=(16, 4))
             t = data_rng.normal(size=(16, 2))
             params = model.parameters()
-            state = adam_init(params)
+            state = adam_init(params, learning_rate=1e-3)
             drop_rng = np.random.default_rng(9)
             for _ in range(20):
                 out, tape = forward(model, x, train=True, dropout_rate=0.2, rng=drop_rng)

@@ -9,7 +9,7 @@ from specinv import mdn, transfer
 from specinv.mdn import build_mdn, mixture_for, nll_loss
 from specinv.nncore import TrainingDivergedError
 from specinv.train import SupervisedArrays, TrainConfig
-from specinv.transfer import GrowthStrategy, grow, sweep
+from specinv.transfer import choose_donor, grow, sweep
 
 
 def toy_model(k, seed=0):
@@ -32,15 +32,16 @@ def toy_arrays(seed=0, n=64):
 
 
 class TestGrow:
-    def test_requires_transfer_strategy(self):
-        with pytest.raises(ValueError, match="tl1/tl2"):
-            grow(toy_model(1), GrowthStrategy("none"))
+    def test_donor_out_of_range_rejected(self):
+        for donor in (-1, 3):
+            with pytest.raises(ValueError, match="donor"):
+                grow(toy_model(3), donor)
 
     def test_pi_uniform_after_growth(self):
         model = toy_model(3, seed=1)
         rng = np.random.default_rng(2)
-        for kind in ("tl1", "tl2"):
-            child = grow(model, GrowthStrategy(kind, rng_seed=5))
+        for donor in range(3):
+            child = grow(model, donor)
             for _ in range(100):
                 mix = mixture_for(child, rng.random(6))
                 assert np.max(np.abs(mix.pi - 0.25)) <= 1e-15
@@ -48,7 +49,8 @@ class TestGrow:
     def test_k1_to_k2_copies_the_only_donor(self):
         model = toy_model(1, seed=3)
         for kind in ("tl1", "tl2"):
-            child = grow(model, GrowthStrategy(kind, rng_seed=11))
+            assert choose_donor(kind, 11, 2) == 0
+            child = grow(model, choose_donor(kind, 11, 2))
             np.testing.assert_array_equal(child.head.mu_w[:2], model.head.mu_w)
             np.testing.assert_array_equal(child.head.mu_w[2:], model.head.mu_w)
             np.testing.assert_array_equal(child.head.sigma_w[:2], model.head.sigma_w)
@@ -59,14 +61,15 @@ class TestGrow:
 
     def test_k1_to_k2_strategies_agree(self):
         model = toy_model(1, seed=4)
-        a = grow(model, GrowthStrategy("tl1", rng_seed=123))
-        b = grow(model, GrowthStrategy("tl2"))
+        a = grow(model, choose_donor("tl1", 123, 2))
+        b = grow(model, choose_donor("tl2", 123, 2))
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
 
     def test_tl2_clones_first_component(self):
         model = toy_model(3, seed=5)
-        child = grow(model, GrowthStrategy("tl2"))
+        assert choose_donor("tl2", 5, 4) == 0
+        child = grow(model, choose_donor("tl2", 5, 4))
         n = 2
         np.testing.assert_array_equal(child.head.mu_w[3 * n :], model.head.mu_w[:n])
         np.testing.assert_array_equal(child.head.mu_b[3 * n :], model.head.mu_b[:n])
@@ -75,8 +78,9 @@ class TestGrow:
 
     def test_tl1_deterministic_per_seed(self):
         model = toy_model(4, seed=6)
-        a = grow(model, GrowthStrategy("tl1", rng_seed=77))
-        b = grow(model, GrowthStrategy("tl1", rng_seed=77))
+        assert choose_donor("tl1", 77, 5) == choose_donor("tl1", 77, 5)
+        a = grow(model, choose_donor("tl1", 77, 5))
+        b = grow(model, choose_donor("tl1", 77, 5))
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
 
@@ -84,7 +88,7 @@ class TestGrow:
         model = toy_model(4, seed=6)
         donors = set()
         for seed in range(24):
-            child = grow(model, GrowthStrategy("tl1", rng_seed=seed))
+            child = grow(model, choose_donor("tl1", seed, 5))
             new_rows = child.head.mu_w[8:]
             for j in range(4):
                 if np.array_equal(new_rows, model.head.mu_w[2 * j : 2 * j + 2]):
@@ -93,20 +97,20 @@ class TestGrow:
 
     def test_trunk_copied_not_shared(self):
         model = toy_model(2, seed=7)
-        child = grow(model, GrowthStrategy("tl2"))
+        child = grow(model, 0)
         child.trunk.weights[0][0, 0] += 1.0
         assert model.trunk.weights[0][0, 0] != child.trunk.weights[0][0, 0]
 
     def test_hidden_layers_bit_exact(self):
         model = toy_model(2, seed=8)
-        child = grow(model, GrowthStrategy("tl1", rng_seed=1))
+        child = grow(model, 1)
         for wa, wb in zip(model.trunk.parameters(), child.trunk.parameters()):
             np.testing.assert_array_equal(wa, wb)
 
     def test_inheritance_of_component_outputs(self):
         """First K-1 components produce bit-identical mixture parameters."""
         model = toy_model(3, seed=9)
-        child = grow(model, GrowthStrategy("tl1", rng_seed=3))
+        child = grow(model, choose_donor("tl1", 3, 4))
         rng = np.random.default_rng(10)
         for _ in range(100):
             x = rng.random(6)
@@ -120,7 +124,7 @@ class TestGrownDensity:
         """Grown mixture density = (1/K) * sum of old component densities
         with the donor's density counted twice."""
         model = toy_model(3, seed=11)
-        child = grow(model, GrowthStrategy("tl2"))
+        child = grow(model, 0)
         rng = np.random.default_rng(12)
         for _ in range(50):
             x = rng.random(6)
@@ -141,7 +145,7 @@ class TestGrownDensity:
     def test_k2_growth_preserves_loss_exactly(self):
         """K=1 -> 2: the duplicated component keeps the mixture density identical."""
         model = toy_model(1, seed=13)
-        child = grow(model, GrowthStrategy("tl2"))
+        child = grow(model, 0)
         rng = np.random.default_rng(14)
         for _ in range(50):
             x = rng.random(6)
@@ -155,7 +159,7 @@ class TestGrownDensity:
         model = toy_model(2, seed=15)
         model.head.pi_w[:] = 0.0
         model.head.pi_b[:] = 0.0
-        child = grow(model, GrowthStrategy("tl1", rng_seed=4))
+        child = grow(model, choose_donor("tl1", 4, 3))
         bound = math.log(3.0 / 2.0) + 1e-9
         rng = np.random.default_rng(16)
         for _ in range(100):
@@ -176,7 +180,7 @@ class TestSweep:
         arrays = toy_arrays(seed=1)
         results = {}
         for kind in ("none", "tl1", "tl2"):
-            res = sweep(arrays, 1, GrowthStrategy(kind), self._cfg(),
+            res = sweep(arrays, 1, kind, self._cfg(),
                         trunk_widths=[6, 8], n_targets=2)
             results[kind] = res.entries[0]
         for kind in ("tl1", "tl2"):
@@ -187,7 +191,7 @@ class TestSweep:
 
     def test_entries_strictly_increasing_k(self):
         arrays = toy_arrays(seed=2)
-        res = sweep(arrays, 3, GrowthStrategy("tl1"), self._cfg(),
+        res = sweep(arrays, 3, "tl1", self._cfg(),
                     trunk_widths=[6, 8], n_targets=2)
         assert [e.k for e in res.entries] == [1, 2, 3]
         for e in res.entries:
@@ -199,7 +203,7 @@ class TestSweep:
         """Under tl the K=2 trunk starts from the trained K=1 trunk, so after a
         0-epoch-free warm start the K=2 initial val loss is close to K=1's final."""
         arrays = toy_arrays(seed=3)
-        res = sweep(arrays, 2, GrowthStrategy("tl2"), self._cfg(max_epochs=12),
+        res = sweep(arrays, 2, "tl2", self._cfg(max_epochs=12),
                     trunk_widths=[6, 8], n_targets=2)
         k1_final_val = res.entry(1).log[-1][1]
         k2_first_val = res.entry(2).log[0][1]
@@ -207,24 +211,33 @@ class TestSweep:
 
     def test_invalid_k_max(self):
         with pytest.raises(ValueError, match="k_max"):
-            sweep(toy_arrays(), 0, GrowthStrategy("none"), self._cfg())
+            sweep(toy_arrays(), 0, "none", self._cfg())
 
     def test_divergence_reports_offending_k(self):
         arrays = toy_arrays(seed=6)
         arrays.train_x[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError, match="K=1"):
-            sweep(arrays, 2, GrowthStrategy("tl1"), self._cfg(),
+            sweep(arrays, 2, "tl1", self._cfg(),
                   trunk_widths=[6, 8], n_targets=2)
+
+    def test_val_nll_is_the_restored_models_val_loss(self):
+        """SweepEntry.val_nll is the loop's best_val_loss, bit for bit the restored model's."""
+        arrays = toy_arrays(seed=7)
+        for kind in ("none", "tl1"):
+            res = sweep(arrays, 3, kind, self._cfg(max_epochs=10, patience=3),
+                        trunk_widths=[6, 8], n_targets=2)
+            for e in res.entries:
+                assert e.val_nll == mdn.batch_nll(e.model, arrays.val_x, arrays.val_y)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
-            GrowthStrategy("tl3")
+            sweep(toy_arrays(), 1, "tl3", self._cfg())
 
 
 class TestSweepCsv:
     def test_results_csv_round_trip(self, tmp_path):
         arrays = toy_arrays(seed=4)
-        res = sweep(arrays, 2, GrowthStrategy("tl1"),
+        res = sweep(arrays, 2, "tl1",
                     TrainConfig(batch_size=16, max_epochs=5, seed=3),
                     trunk_widths=[6, 8], n_targets=2)
         path = tmp_path / "sweep_results.csv"
@@ -239,7 +252,7 @@ class TestSweepCsv:
 
     def test_timing_csv(self, tmp_path):
         arrays = toy_arrays(seed=5)
-        res = sweep(arrays, 2, GrowthStrategy("none"),
+        res = sweep(arrays, 2, "none",
                     TrainConfig(batch_size=16, max_epochs=4, seed=3),
                     trunk_widths=[6, 8], n_targets=2)
         path = tmp_path / "sweep_timing.csv"
