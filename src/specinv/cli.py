@@ -59,6 +59,8 @@ class RunConfig(TrainConfig):
         super().__post_init__()
         for name in ("k", "k_max"):
             self._require(name, getattr(self, name) >= 1, ">= 1")
+        self._require("strategy", self.strategy in transfer.STRATEGIES,
+                      f"one of {', '.join(transfer.STRATEGIES)}")
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -66,7 +68,10 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def parse_config_file(path: str | Path, command: str) -> dict:
-    """key = value lines; '#' starts a comment; keys match RunConfig fields.
+    """key = value lines; keys match RunConfig fields.
+
+    A line whose first non-blank character is '#' is a comment; a '#' anywhere
+    else belongs to the value.
 
     A ``command`` line, which ``write_config`` records, must name ``command``,
     the subcommand being run, so a run's own config.txt replays it.
@@ -76,8 +81,8 @@ def parse_config_file(path: str | Path, command: str) -> dict:
     values = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
@@ -99,7 +104,13 @@ def parse_config_file(path: str | Path, command: str) -> dict:
             else:
                 raise ValueError(f"{path}: line {lineno}: bad boolean {value!r}")
         else:
-            values[key] = ty(value)
+            try:
+                values[key] = ty(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: {key} must be "
+                    f"{'an int' if ty is int else 'a float'}, got {value!r}"
+                ) from None
     return values
 
 
@@ -317,6 +328,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not results_path.exists():
         raise FileNotFoundError(f"{results_path} not found; run 'sweep' first")
     rows = transfer.read_sweep_results(results_path)
+    ks = [row["K"] for row in rows]
+    if args.k is not None and args.k not in ks:
+        raise ValueError(f"--k {args.k} is not a K of {results_path} ({ks})")
+    # everything the marginals need is read and checked before any figure is written
+    marginals = _test_record_mixture(args, run_dir, ks) if args.dataset else None
     out_dir = resolve_out(args.out) if args.out else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -337,7 +353,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         svgplot.write_svg(out_dir / f"loss_curves_k{row['K']:02d}.svg", svg)
 
-    ks = [row["K"] for row in rows]
     strategy = rows[0]["strategy"] if rows else "?"
     svg = svgplot.line_chart(
         [
@@ -351,28 +366,30 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     svgplot.write_svg(out_dir / "nll_vs_k.svg", svg)
 
-    if args.dataset:
-        _report_marginals(args, run_dir, out_dir, rows)
+    if marginals is not None:
+        _write_marginals(out_dir, *marginals)
     print(f"report written to {out_dir}")
     return EXIT_OK
 
 
-def _report_marginals(args, run_dir: Path, out_dir: Path, rows: list[dict]) -> None:
-    """Mixture-weighted marginal density of each design parameter for one test record."""
+def _test_record_mixture(args, run_dir: Path, ks: list[int]):
+    """K, the K-component mixture for one test record, and that record's true design."""
     ds = dataset.load_dataset(args.dataset)
-    k = args.k if args.k else max(row["K"] for row in rows)
-    model = mdn.load_mdn(run_dir / f"mdn_k{k:02d}.json")
     test_idx = ds.indices("test")
     if not 0 <= args.test_index < len(test_idx):
         raise ValueError(f"--test-index {args.test_index} out of range [0, {len(test_idx)})")
+    k = args.k if args.k is not None else max(ks)
+    model = mdn.load_mdn(run_dir / f"mdn_k{k:02d}.json")
     record = test_idx[args.test_index]
-    spectrum = ds.spectra[record]
-    truth = ds.designs[record]
-    x = spectrum
+    x = ds.spectra[record]
     ae_path = run_dir / "ae.json"
     if ae_path.exists():
-        x = autoencoder.encode(autoencoder.load_ae(ae_path), spectrum)
-    mix = mdn.mixture_for(model, x)
+        x = autoencoder.encode(autoencoder.load_ae(ae_path), x)
+    return k, mdn.mixture_for(model, x), ds.designs[record]
+
+
+def _write_marginals(out_dir: Path, k: int, mix: mdn.MixtureParams, truth: np.ndarray) -> None:
+    """Mixture-weighted marginal density of each design parameter for one test record."""
     spans = PARAM_UPPER - PARAM_LOWER
     for c, name in enumerate(PARAM_NAMES):
         grid = mdn.marginal_grid(mix, c)
@@ -454,7 +471,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit SVG/CSV figures from a finished run")
     p.add_argument("--run-dir", dest="run_dir", required=True)
     p.add_argument("--dataset", help="dataset CSV; enables the marginal-density figures")
-    p.add_argument("--k", type=int, help="component count to use for marginals (default: max)")
+    p.add_argument("--k", type=int,
+                   help="a K of sweep_results.csv to use for marginals (default: the largest)")
     p.add_argument("--test-index", dest="test_index", type=int, default=0)
     p.add_argument("--out", help="report directory (default: <run-dir>/report)")
     p.set_defaults(func=cmd_report)

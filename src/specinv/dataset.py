@@ -70,9 +70,6 @@ class DesignParams:
         p, w, h1, h2, h3 = (float(v) for v in arr)
         return cls(p, w, h1, h2, h3)
 
-    def normalized(self) -> np.ndarray:
-        return normalize_designs(self.to_array()[None, :])[0]
-
 
 def normalize_designs(designs: np.ndarray) -> np.ndarray:
     """Min-max scale physical designs to [0,1]^5 using the interval bounds."""
@@ -221,13 +218,6 @@ class LabeledDataset:
 
     def spectra_for(self, split: str) -> np.ndarray:
         return self.spectra[self.indices(split)]
-
-    def designs_for(self, split: str) -> np.ndarray:
-        return self.designs[self.indices(split)]
-
-    def targets_for(self, split: str) -> np.ndarray:
-        """Normalized designs, the regression targets."""
-        return normalize_designs(self.designs_for(split))
 
     def counts(self) -> dict[str, int]:
         return {s: int(np.sum(self.split_tags == s)) for s in _SPLITS}

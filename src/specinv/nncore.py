@@ -138,7 +138,6 @@ class Tape:
     """Activation record from one forward pass; replays dropout masks exactly."""
 
     records: list[_LayerRecord]
-    single: bool
 
     @property
     def batch_size(self) -> int:
@@ -156,7 +155,8 @@ def forward(
 
     In train mode, inverted dropout (scale by 1/(1-rate)) is applied after the
     activation of every layer in ``dropout_after``; in eval mode dropout is the
-    identity and the output does not depend on ``rng``.
+    identity and the output does not depend on ``rng``.  The tape always holds
+    a batch: a vector's tape takes a (1, output_width) gradient.
     """
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
@@ -186,7 +186,7 @@ def forward(
         records.append(_LayerRecord(inputs=a, pre_act=z, sig=sig, mask=mask))
         a = h
     out = a[0] if single else a
-    return out, Tape(records=records, single=single)
+    return out, Tape(records=records)
 
 
 def backward(
@@ -194,9 +194,9 @@ def backward(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients of a scalar loss w.r.t. every weight and bias, plus the input.
 
-    ``output_gradient`` is dLoss/dOutput with the same shape as the forward
-    output (per-sample rows for a batch; any 1/batch factors belong to the
-    caller).  Returns (param_grads, input_grad) with param_grads ordered like
+    ``output_gradient`` is dLoss/dOutput, one row per sample of the tape's
+    batch (any 1/batch factors belong to the caller).  Returns
+    (param_grads, input_grad) with param_grads ordered like
     ``model.parameters()``.
     """
     if len(tape.records) != model.n_layers:
@@ -204,8 +204,6 @@ def backward(
             f"tape has {len(tape.records)} layers, model has {model.n_layers}"
         )
     g = np.asarray(output_gradient, dtype=np.float64)
-    if tape.single:
-        g = g[None, :]
     if g.shape != (tape.batch_size, model.output_width):
         raise ValueError(
             f"output gradient shape {np.shape(output_gradient)} does not match "
@@ -224,8 +222,7 @@ def backward(
         grad_w[l] = g.T @ rec.inputs
         grad_b[l] = g.sum(axis=0)
         g = g @ model.weights[l]
-    input_grad = g[0] if tape.single else g
-    return _interleave(grad_w, grad_b), input_grad
+    return _interleave(grad_w, grad_b), g
 
 
 MOMENT1_DECAY = 0.9
@@ -343,9 +340,7 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def _float_array_json(a: np.ndarray) -> str:
-    """Nested JSON lists; each 1-D row is checked once and joined once."""
-    if a.ndim != 1:
-        return "[" + ", ".join(_float_array_json(row) for row in a) + "]"
+    """One 1-D float row as a JSON list, checked once and joined once."""
     if not np.isfinite(a).all():
         bad = float(a[~np.isfinite(a)][0])
         raise ValueError(f"non-finite value {bad!r} cannot be checkpointed")
@@ -353,43 +348,29 @@ def _float_array_json(a: np.ndarray) -> str:
 
 
 def _json_fragments(obj, out: list[str], indent: int) -> None:
+    """What checkpoints hold: dicts, lists, 1-D and 2-D float arrays, ints, strs."""
     pad = "  " * indent
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim > 0:
-            out.append(_float_array_json(obj))
-        else:
-            _json_fragments(obj.tolist(), out, indent)
+    float_ndim = obj.ndim if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" else 0
+    if float_ndim == 1:
+        out.append(_float_array_json(obj))
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(f'{pad}  {json.dumps(str(key))}: ')
             _json_fragments(value, out, indent + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list) or float_ndim == 2:  # a matrix is a list of rows
         out.append("[")
         for i, value in enumerate(obj):
             if i:
                 out.append(", ")
             _json_fragments(value, out, indent + 1)
         out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite value {float(obj)!r} cannot be checkpointed")
-        out.append(fmt(obj))
-    elif isinstance(obj, str):
+    elif isinstance(obj, (int, str)):
         out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+    else:  # floats only ever reach a file through ``fmt`` in a float array
+        raise TypeError(f"cannot checkpoint a {type(obj).__name__} value")
 
 
 def dump_checkpoint_text(payload: dict) -> str:

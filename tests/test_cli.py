@@ -25,8 +25,8 @@ def tiny_dataset(tmp_path):
     return path
 
 
-# config values are single-line and '#'-free; paths drawn from these characters are
-PATH_TEXT = st.text(string.ascii_letters + string.digits + "/._-", max_size=30)
+# config values are single-line; paths drawn from these characters are
+PATH_TEXT = st.text(string.ascii_letters + string.digits + "/._-#", max_size=30)
 
 
 def read_csv(path):
@@ -340,6 +340,14 @@ class TestReport:
         code = run("report", "--run-dir", tmp_path / "nope")
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("flag,value", [("--k", 0), ("--k", 7), ("--test-index", 99)])
+    def test_bad_choice_writes_nothing(self, flag, value, tiny_dataset, finished_run, capsys):
+        code = run("report", "--run-dir", finished_run, "--dataset", tiny_dataset, flag, value)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {flag} {value} ") and err.count("\n") == 1
+        assert not (finished_run / "report").exists()
+
 
 class TestConfigFile:
     def test_precedence(self, tmp_path, tiny_dataset):
@@ -363,6 +371,40 @@ class TestConfigFile:
         cfg.write_text("not_a_key = 1\n")
         code = run("train", "--config", cfg, "--k", 1, "--out", tmp_path / "x")
         assert code == EXIT_USAGE
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        data = tmp_path / "d#1" / "data.csv"
+        assert run("gen-data", "--samples", 60, "--seed", 3, "--out", data) == EXIT_OK
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"  # a comment line\ndataset = {data}\nmax_epochs = 2\n")
+        out = tmp_path / "run#2"
+        assert run("train", "--config", cfg, "--k", 1, "--out", out) == EXIT_OK
+        assert f"dataset = {data}\n" in (out / "config.txt").read_text()
+
+    @pytest.mark.parametrize("line,message", [
+        ("seed = abc", "seed must be an int, got 'abc'"),
+        ("seed = 1.5", "seed must be an int, got '1.5'"),
+        ("learning_rate = fast", "learning_rate must be a float, got 'fast'"),
+    ], ids=["int-word", "int-decimal", "float-word"])
+    def test_value_that_does_not_convert(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"{line}\n")
+        code = run("train", "--config", cfg, "--out", tmp_path / "x")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == f"error: {cfg}: line 1: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_strategy_rejected_before_any_work(self, tiny_dataset, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("strategy = tl9\nautoencoder = true\n")
+        out = tmp_path / "run"
+        code = run("sweep", "--config", cfg, "--dataset", tiny_dataset, "--out", out,
+                   "--max-epochs", 2, "--k-max", 1)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: strategy must be") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_boolean_values(self, tmp_path):
         cfg = tmp_path / "b.cfg"

@@ -141,7 +141,7 @@ class TestBackward:
         rng = np.random.default_rng(1)
         model = init_mlp([3, 4, 2], rng)
         _, tape = forward(model, rng.normal(size=3))
-        grads, gin = backward(model, tape, np.zeros(2))
+        grads, gin = backward(model, tape, np.zeros((1, 2)))
         for g in grads:
             assert not g.any()
         assert not gin.any()
@@ -156,7 +156,7 @@ class TestBackward:
         )
         x = np.array([1.5, -2.0, 0.25])
         _, tape = forward(model, x)
-        grads, _ = backward(model, tape, np.ones(1))
+        grads, _ = backward(model, tape, np.ones((1, 1)))
         np.testing.assert_array_equal(grads[0], x[None, :])
         np.testing.assert_array_equal(grads[1], np.ones(1))
 
@@ -171,7 +171,7 @@ class TestBackward:
             return float(out @ w)
 
         _, tape = forward(model, x)
-        grads, _ = backward(model, tape, w)
+        grads, _ = backward(model, tape, w[None, :])
         numeric = finite_difference_grads(loss, model.parameters())
         assert max_rel_error(grads, numeric) <= 1e-4
 
@@ -190,9 +190,17 @@ class TestBackward:
 
         _, tape = forward(model, x, train=True, dropout_rate=0.4,
                           rng=np.random.default_rng(123))
-        grads, _ = backward(model, tape, w)
+        grads, _ = backward(model, tape, w[None, :])
         numeric = finite_difference_grads(loss, model.parameters())
         assert max_rel_error(grads, numeric) <= 1e-4
+
+    def test_vector_gradient_rejected(self):
+        """A vector forward records a batch of one, so its gradient is one row."""
+        rng = np.random.default_rng(0)
+        model = init_mlp([3, 4, 2], rng)
+        _, tape = forward(model, np.zeros(3))
+        with pytest.raises(ValueError, match="gradient shape"):
+            backward(model, tape, np.zeros(2))
 
     def test_tape_model_mismatch_raises(self):
         rng = np.random.default_rng(0)
@@ -296,7 +304,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
 
     def test_floats_written_with_17_significant_digits(self):
-        text = nncore.dump_checkpoint_text({"x": 0.1})
+        text = nncore.dump_checkpoint_text({"x": np.array([0.1])})
         assert "0.10000000000000001" in text
 
     def test_wrong_kind_rejected(self, tmp_path):
@@ -308,26 +316,35 @@ class TestCheckpoint:
             mdn.load_mdn(path)
 
     def test_non_finite_values_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            nncore.dump_checkpoint_text({"x": float("inf")})
+        """A float scalar, finite or not, is no checkpoint value, and neither is None."""
+        for value in (float("inf"), 0.1, None):
+            with pytest.raises(TypeError):
+                nncore.dump_checkpoint_text({"x": value})
 
     def test_non_finite_array_entry_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             nncore.dump_checkpoint_text({"w": np.array([[1.0, 2.0], [np.inf, 0.0]])})
 
+    def test_rejected_payload_leaves_no_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        with pytest.raises(TypeError):
+            nncore.save_checkpoint(path, {"w": np.array([1.0]), "rate": 0.5})
+        with pytest.raises(ValueError, match="non-finite"):
+            nncore.save_checkpoint(path, {"w": np.array([[1.0, 2.0], [np.nan, 0.0]])})
+        assert not path.exists()
+
     def test_text_layout_pinned(self):
+        """The kinds checkpoints hold: dicts, lists, 1-D and 2-D float arrays, ints, strs."""
         payload = {
             "format_version": 1,
             "kind": "pin",
-            "flag": True,
-            "missing": None,
-            "rate": 0.001,
-            "empty_dict": {},
-            "empty_list": [],
+            "layer_widths": [7, 5, 3],
+            "activations": ["silu", "identity"],
+            "dropout_after": [],
             "nested": {
                 "vector": np.array([0.1, -2.5, 1e-300]),
                 "matrix": np.array([[1.0, 2.0], [3.0, 0.30000000000000004]]),
-                "inner": {"off": False, "records": [{"a": 1}]},
+                "inner": {"count": 2, "records": [{"a": 1}]},
             },
             "layers": [np.array([0.5]), np.array([[-1.0, 1e20]])],
         }
@@ -335,16 +352,14 @@ class TestCheckpoint:
             "{\n"
             '  "format_version": 1,\n'
             '  "kind": "pin",\n'
-            '  "flag": true,\n'
-            '  "missing": null,\n'
-            '  "rate": 0.001,\n'
-            '  "empty_dict": {},\n'
-            '  "empty_list": [],\n'
+            '  "layer_widths": [7, 5, 3],\n'
+            '  "activations": ["silu", "identity"],\n'
+            '  "dropout_after": [],\n'
             '  "nested": {\n'
             '    "vector": [0.10000000000000001, -2.5, 1e-300],\n'
             '    "matrix": [[1, 2], [3, 0.30000000000000004]],\n'
             '    "inner": {\n'
-            '      "off": false,\n'
+            '      "count": 2,\n'
             '      "records": [{\n'
             '          "a": 1\n'
             "        }]\n"
