@@ -54,12 +54,6 @@ def reconstruction_mse(ae: AeModel, spectra: np.ndarray) -> float:
     return float(np.mean((recon - spectra) ** 2))
 
 
-def mean_baseline_mse(train_spectra: np.ndarray, eval_spectra: np.ndarray) -> float:
-    """MSE of always predicting the training-set mean spectrum."""
-    mean = train_spectra.mean(axis=0)
-    return float(np.mean((eval_spectra - mean) ** 2))
-
-
 def train_ae(
     train_spectra: np.ndarray,
     val_spectra: np.ndarray,

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 argument errors, 3 I/O or file-format errors,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import autoencoder, dataset, mdn, svgplot, transfer
 from .dataset import DatasetFormatError, PARAM_LOWER, PARAM_NAMES, PARAM_UPPER
-from .nncore import CheckpointFormatError, TrainingDivergedError, write_csv
+from .nncore import CheckpointFormatError, TrainingDivergedError, read_csv, write_csv
 from .train import (
     ROLE_AE_INIT,
     ROLE_AE_SHUFFLE,
@@ -147,12 +146,7 @@ def _write_log_csv(path: Path, log: list[tuple[float, float]], loss: str) -> Non
     write_csv(path, ["epoch", f"train_{loss}", f"val_{loss}"], rows)
 
 
-def _read_log_csv(path: Path) -> list[tuple[int, float, float]]:
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((int(row["epoch"]), float(row["train_nll"]), float(row["val_nll"])))
-    return rows
+_LOG_COLUMNS = {"epoch": int, "train_nll": float, "val_nll": float}
 
 
 def read_spectrum_file(path: str | Path) -> np.ndarray:
@@ -267,47 +261,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _candidate_designs(mix: mdn.MixtureParams, top: int) -> tuple[list[float], np.ndarray]:
-    """Top components as physical designs, means clipped into the valid intervals."""
-    modes = mdn.predict_modes(mix, top)
-    pis = [pi for pi, _ in modes]
-    units = np.clip(np.array([mu for _, mu in modes]), 0.0, 1.0)
-    return pis, dataset.denormalize_designs(units)
-
-
-def spectrum_rmse(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((np.asarray(a) - np.asarray(b)) ** 2)))
+def _spectrum_mixture(model: mdn.MdnModel, spectrum: np.ndarray, ae_path) -> mdn.MixtureParams:
+    """The model's mixture for one spectrum, through the autoencoder at ``ae_path`` if any."""
+    x = autoencoder.encode(autoencoder.load_ae(ae_path), spectrum) if ae_path else spectrum
+    if model.input_width != x.shape[-1]:
+        raise ValueError(f"checkpoint expects input width {model.input_width}, got {x.shape[-1]}; "
+                         f"models trained on latents need their autoencoder")
+    return mdn.mixture_for(model, x)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = mdn.load_mdn(args.checkpoint)
     spectrum = read_spectrum_file(args.spectrum_file)
-    x = spectrum
-    if args.ae:
-        ae = autoencoder.load_ae(args.ae)
-        x = autoencoder.encode(ae, spectrum)
-    if model.input_width != x.shape[-1]:
-        raise ValueError(
-            f"checkpoint expects input width {model.input_width}, got {x.shape[-1]} "
-            f"({'latent' if args.ae else 'raw spectrum'}); "
-            f"pass --ae for models trained on latents"
-        )
-    mix = mdn.mixture_for(model, x)
-    pis, designs = _candidate_designs(mix, args.top)
-    resim = dataset.surrogate_spectra(designs)
+    mix = _spectrum_mixture(model, spectrum, args.ae)
+    found = mdn.rank_candidates(mix, spectrum, args.top)
     out_dir = resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rmses = [spectrum_rmse(s, spectrum) for s in resim]
     write_csv(
         out_dir / "predictions.csv",
         ["rank", "pi"] + list(PARAM_NAMES) + ["rmse"],
-        ([rank, pi, *design, rmse]
-         for rank, (pi, design, rmse) in enumerate(zip(pis, designs, rmses), start=1)),
+        ([rank, pi, *design, rmse] for rank, (pi, design, rmse)
+         in enumerate(zip(found.pi, found.designs, found.rmse), start=1)),
     )
     write_csv(
         out_dir / "resimulated.csv",
         ["rank"] + [f"a_{i:03d}" for i in range(dataset.N_WAVELENGTHS)],
-        ([rank, *s] for rank, s in enumerate(resim, start=1)),
+        ([rank, *s] for rank, s in enumerate(found.resimulated, start=1)),
     )
     n = mix.n_targets
     write_csv(
@@ -317,8 +296,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
         ([i, pi, *mu, *sigma]
          for i, (pi, mu, sigma) in enumerate(zip(mix.pi, mix.mu, mix.sigma), start=1)),
     )
-    best = min(rmses)
-    print(f"wrote {len(pis)} candidates to {out_dir} (best re-simulation RMSE {best:.4f})")
+    for rank, fault in enumerate(found.faults, start=1):
+        if fault:
+            print(f"warning: candidate {rank}: {fault}", file=sys.stderr)
+    print(f"wrote {len(found.pi)} candidates to {out_dir} "
+          f"(best re-simulation RMSE {found.rmse.min():.4f})")
     return EXIT_OK
 
 
@@ -327,33 +309,31 @@ def cmd_report(args: argparse.Namespace) -> int:
     results_path = run_dir / "sweep_results.csv"
     if not results_path.exists():
         raise FileNotFoundError(f"{results_path} not found; run 'sweep' first")
-    rows = transfer.read_sweep_results(results_path)
+    rows = read_csv(results_path, transfer.SWEEP_RESULTS_COLUMNS)
     ks = [row["K"] for row in rows]
     if args.k is not None and args.k not in ks:
         raise ValueError(f"--k {args.k} is not a K of {results_path} ({ks})")
-    # everything the marginals need is read and checked before any figure is written
+    # every file is read and checked before any figure is written
+    log_paths = {k: run_dir / f"log_k{k:02d}.csv" for k in ks}
+    logs = {k: read_csv(path, _LOG_COLUMNS) for k, path in log_paths.items() if path.exists()}
     marginals = _test_record_mixture(args, run_dir, ks) if args.dataset else None
     out_dir = resolve_out(args.out) if args.out else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for row in rows:
-        log_path = run_dir / f"log_k{row['K']:02d}.csv"
-        if not log_path.exists():
-            continue
-        log = _read_log_csv(log_path)
-        epochs = [r[0] for r in log]
+    strategy = rows[0]["strategy"]
+    for k, log in logs.items():
+        epochs = [r["epoch"] for r in log]
         svg = svgplot.line_chart(
             [
-                ("train NLL", epochs, [r[1] for r in log]),
-                ("validation NLL", epochs, [r[2] for r in log]),
+                ("train NLL", epochs, [r["train_nll"] for r in log]),
+                ("validation NLL", epochs, [r["val_nll"] for r in log]),
             ],
-            title=f"Loss curves, K={row['K']} ({row['strategy']})",
+            title=f"Loss curves, K={k} ({strategy})",
             x_label="epoch",
             y_label="NLL",
         )
-        svgplot.write_svg(out_dir / f"loss_curves_k{row['K']:02d}.svg", svg)
+        svgplot.write_svg(out_dir / f"loss_curves_k{k:02d}.svg", svg)
 
-    strategy = rows[0]["strategy"] if rows else "?"
     svg = svgplot.line_chart(
         [
             ("train", ks, [row["train_nll"] for row in rows]),
@@ -381,11 +361,9 @@ def _test_record_mixture(args, run_dir: Path, ks: list[int]):
     k = args.k if args.k is not None else max(ks)
     model = mdn.load_mdn(run_dir / f"mdn_k{k:02d}.json")
     record = test_idx[args.test_index]
-    x = ds.spectra[record]
     ae_path = run_dir / "ae.json"
-    if ae_path.exists():
-        x = autoencoder.encode(autoencoder.load_ae(ae_path), x)
-    return k, mdn.mixture_for(model, x), ds.designs[record]
+    mix = _spectrum_mixture(model, ds.spectra[record], ae_path if ae_path.exists() else None)
+    return k, mix, ds.designs[record]
 
 
 def _write_marginals(out_dir: Path, k: int, mix: mdn.MixtureParams, truth: np.ndarray) -> None:

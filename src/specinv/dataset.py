@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import qmc
 
-from .nncore import write_csv
+from .nncore import DatasetFormatError, write_csv
 
 PARAM_NAMES = ("p", "w", "h1", "h2", "h3")
 PARAM_LOWER = np.array([305.0, 45.0, 150.0, 25.0, 80.0])
@@ -38,13 +38,9 @@ SURROGATE_VERSION = "three-peak-1"
 _SOBOL_BLOCK = 1024  # fixed draw size keeps rejection sampling reproducible
 
 
-class DatasetFormatError(ValueError):
-    """Malformed dataset file; message carries the offending line number."""
-
-
 @dataclass(frozen=True)
 class DesignParams:
-    """One absorber geometry in nm; validated against intervals and the p-w gap."""
+    """One absorber geometry in nm; validated by ``design_faults``."""
 
     p: float
     w: float
@@ -53,14 +49,9 @@ class DesignParams:
     h3: float
 
     def __post_init__(self):
-        arr = self.to_array()
-        # NaN fails every comparison, so require inside rather than reject outside
-        if not (np.all(arr >= PARAM_LOWER) and np.all(arr <= PARAM_UPPER)):
-            raise ValueError(f"design {arr} is non-finite or outside the parameter intervals")
-        if self.p - self.w < MIN_PERIOD_WIDTH_GAP:
-            raise ValueError(
-                f"p - w = {self.p - self.w:.6g} violates the {MIN_PERIOD_WIDTH_GAP} nm gap"
-            )
+        fault = design_faults(self.to_array())[0]
+        if fault:
+            raise ValueError(fault)
 
     def to_array(self) -> np.ndarray:
         return np.array([self.p, self.w, self.h1, self.h2, self.h3])
@@ -80,14 +71,26 @@ def denormalize_designs(u: np.ndarray) -> np.ndarray:
     return PARAM_LOWER + np.asarray(u, dtype=np.float64) * (PARAM_UPPER - PARAM_LOWER)
 
 
+def design_faults(designs: np.ndarray) -> np.ndarray:
+    """Per physical design (rows of (n, 5)): why it breaks the design rule, '' if it holds."""
+    d = np.array(designs, dtype=np.float64, ndmin=2, copy=None)
+    # NaN fails every comparison, so require inside rather than reject outside
+    inside = ((d >= PARAM_LOWER) & (d <= PARAM_UPPER)).all(axis=1)
+    gap = d[:, 0] - d[:, 1]
+    faults = np.full(len(d), "", dtype=object)
+    for i in (~(inside & (gap >= MIN_PERIOD_WIDTH_GAP))).nonzero()[0]:
+        faults[i] = (f"p - w = {gap[i]:.6g} violates the {MIN_PERIOD_WIDTH_GAP} nm gap" if inside[i]
+                     else f"design {d[i]} is non-finite or outside the parameter intervals")
+    return faults
+
+
 # --- sampling -------------------------------------------------------------------
 
 
 def scale_and_filter(points: np.ndarray) -> list[DesignParams]:
-    """Scale unit-cube points and drop any sample violating p - w >= 200 nm."""
+    """Scale unit-cube points and drop any sample that breaks the design rule."""
     scaled = denormalize_designs(points)
-    keep = scaled[:, 0] - scaled[:, 1] >= MIN_PERIOD_WIDTH_GAP
-    return [DesignParams.from_array(row) for row in scaled[keep]]
+    return [DesignParams.from_array(row) for row in scaled[design_faults(scaled) == ""]]
 
 
 def generate_designs(n: int, seed: int) -> list[DesignParams]:
@@ -289,29 +292,19 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             split = row[5]
             if split not in _SPLITS:
                 raise DatasetFormatError(f"{path}: line {lineno}: unknown split {split!r}")
-            try:
-                DesignParams.from_array(design)  # revalidates intervals and the p-w gap
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
             designs.append(design)
             spectra.append(spectrum)
             tags.append(split)
     if not designs:
         raise DatasetFormatError(f"{path}: no records")
-    spectra = np.array(spectra)
-    bad = np.flatnonzero(~valid_absorbance(spectra))
+    designs, spectra = np.array(designs), np.array(spectra)
+    faults = design_faults(designs)
+    faults[~valid_absorbance(spectra)] = "absorbance values must be finite and within [0, 1]"
+    bad = np.flatnonzero(faults != "")
     if bad.size:
-        raise DatasetFormatError(
-            f"{path}: line {bad[0] + 2}: absorbance values must be finite and within [0, 1]"
-        )
+        raise DatasetFormatError(f"{path}: line {bad[0] + 2}: {faults[bad[0]]}")
     return LabeledDataset(
-        designs=np.array(designs),
+        designs=designs,
         spectra=spectra,
         split_tags=np.array(tags, dtype=object),
     )
-
-
-def load_metadata(path: str | Path) -> dict:
-    path = Path(path)
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    return json.loads(meta_path.read_text(encoding="utf-8"))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import nncore
+from . import dataset, nncore
 from .nncore import MlpModel, TrainingDivergedError
 
 DENSITY_EPS = 1e-5  # added to the mixture density inside the log
@@ -185,24 +185,14 @@ def _logsumexp_rows(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def head_forward(head: MdnHead, features: np.ndarray) -> MixtureParams:
-    """Mixture parameters for one feature vector."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (head.feature_width,):
-        raise ValueError(
-            f"features shape {features.shape} != ({head.feature_width},)"
-        )
-    pi_logits, mu, sigma_logits = _head_raw(head, features[None, :])
-    # direct softmax keeps the all-zero-logits case exactly uniform
-    e = np.exp(pi_logits[0] - np.max(pi_logits[0]))
-    pi = e / e.sum()
-    return MixtureParams(pi=pi, mu=mu[0], sigma=np.exp(sigma_logits[0]))
-
-
 def mixture_for(model: MdnModel, x: np.ndarray) -> MixtureParams:
     """Eval-mode mixture prediction for a single input vector."""
     features, _ = nncore.forward(model.trunk, np.asarray(x, dtype=np.float64))
-    return head_forward(model.head, features)
+    # one row: the features of a batch input fail the head's matmuls
+    pi_logits, mu, sigma_logits = _head_raw(model.head, features.reshape(1, -1))
+    # direct softmax keeps the all-zero-logits case exactly uniform
+    e = np.exp(pi_logits[0] - np.max(pi_logits[0]))
+    return MixtureParams(pi=e / e.sum(), mu=mu[0], sigma=np.exp(sigma_logits[0]))
 
 
 # --- loss ---------------------------------------------------------------------
@@ -349,6 +339,28 @@ def predict_modes(mix: MixtureParams, top_m: int) -> list[tuple[float, np.ndarra
         raise ValueError("top_m must be positive")
     order = np.argsort(-mix.pi, kind="stable")[:top_m]
     return [(float(mix.pi[i]), mix.mu[i].copy()) for i in order]
+
+
+@dataclass
+class Candidates:
+    """The top-N component means as designs, ranked by pi, each re-simulated."""
+
+    pi: np.ndarray  # (N,)
+    designs: np.ndarray  # (N, 5) physical nm, means clipped into the intervals
+    resimulated: np.ndarray  # (N, 101) surrogate spectra of the designs
+    rmse: np.ndarray  # (N,) of each re-simulation against the query spectrum
+    faults: np.ndarray  # (N,) why a design breaks the design rule, '' if it holds
+
+
+def rank_candidates(mix: MixtureParams, spectrum: np.ndarray, top: int) -> Candidates:
+    """The inverse step: the ``top`` heaviest means of ``mix`` clipped into [0, 1],
+    denormalized, re-simulated and scored against the query ``spectrum``."""
+    modes = predict_modes(mix, top)
+    designs = dataset.denormalize_designs(np.clip(np.array([mu for _, mu in modes]), 0.0, 1.0))
+    resimulated = dataset.surrogate_spectra(designs)
+    rmse = np.array([np.sqrt(np.mean((s - spectrum) ** 2)) for s in resimulated])
+    return Candidates(np.array([pi for pi, _ in modes]), designs, resimulated, rmse,
+                      dataset.design_faults(designs))
 
 
 def weighted_marginal_pdf(mix: MixtureParams, param_index: int, grid: np.ndarray) -> np.ndarray:

@@ -31,6 +31,10 @@ class CheckpointFormatError(ValueError):
     """Malformed or unsupported checkpoint: bad JSON, version, kind, keys or shapes."""
 
 
+class DatasetFormatError(ValueError):
+    """Malformed data file (dataset, spectrum or run CSV); names the file and any line."""
+
+
 def silu(v: np.ndarray) -> np.ndarray:
     """Elementwise x * sigmoid(x)."""
     v = np.asarray(v, dtype=np.float64)
@@ -337,6 +341,30 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(
             [fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row] for row in rows
         )
+
+
+def read_csv(path: str | Path, columns: dict[str, type]) -> list[dict]:
+    """The rows of a ``write_csv`` file as dicts of ``columns``, each cell converted
+    by its column's type.  A missing column, a cell that does not convert, or a
+    file without rows raises ``DatasetFormatError`` naming the file and line."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise DatasetFormatError(f"{path}: line 1: missing column {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            rows.append({})
+            for name, convert in columns.items():
+                try:
+                    rows[-1][name] = convert(row[name])
+                except (TypeError, ValueError):  # a short row holds None
+                    raise DatasetFormatError(
+                        f"{path}: line {reader.line_num}: cannot read {name} from {row[name]!r}"
+                    ) from None
+    if not rows:
+        raise DatasetFormatError(f"{path}: no rows after the header")
+    return rows
 
 
 def _float_array_json(a: np.ndarray) -> str:

@@ -10,7 +10,6 @@ deterministic).
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -190,10 +189,16 @@ def sweep(
 # byte-reproducible for a fixed seed; timing lives in its own sidecar CSV.
 
 
+SWEEP_RESULTS_COLUMNS = {
+    "K": int, "strategy": str, "epochs": int,
+    "train_nll": float, "val_nll": float, "test_nll": float,
+}
+
+
 def write_sweep_results(path: str | Path, result: SweepResult) -> None:
     write_csv(
         path,
-        ["K", "strategy", "epochs", "train_nll", "val_nll", "test_nll"],
+        list(SWEEP_RESULTS_COLUMNS),
         ([e.k, e.strategy, e.epochs, e.train_nll, e.val_nll, e.test_nll] for e in result.entries),
     )
 
@@ -207,19 +212,3 @@ def write_sweep_timing(
     rows.append(["total", strategy, sum(row[2] for row in rows)])
     write_csv(path, ["stage", "strategy", "seconds"], rows)
 
-
-def read_sweep_results(path: str | Path) -> list[dict]:
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "K": int(row["K"]),
-                    "strategy": row["strategy"],
-                    "epochs": int(row["epochs"]),
-                    "train_nll": float(row["train_nll"]),
-                    "val_nll": float(row["val_nll"]),
-                    "test_nll": float(row["test_nll"]),
-                }
-            )
-    return rows

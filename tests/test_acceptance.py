@@ -8,9 +8,15 @@ import time
 
 import numpy as np
 
-from specinv import autoencoder, dataset, mdn, transfer
+from specinv import dataset, mdn, transfer
 from specinv.mdn import LOSS_CEILING
-from util import finite_difference_grads, max_rel_error, random_mixture, scalar_mixture_nll
+from util import (
+    finite_difference_grads,
+    max_rel_error,
+    mean_baseline_mse,
+    random_mixture,
+    scalar_mixture_nll,
+)
 
 from conftest import ACCEPT_SEED, AE_VAL_MSE_THRESHOLD
 
@@ -133,30 +139,26 @@ def test_criterion_4_transfer_speedup(none_sweep, tl1_sweep):
     )
 
 
-def _best_of_top_rmse(model, spectrum, top):
-    mix = mdn.mixture_for(model, spectrum)
-    modes = mdn.predict_modes(mix, top)
-    units = np.clip(np.array([mu for _, mu in modes]), 0.0, 1.0)
-    resim = dataset.surrogate_spectra(dataset.denormalize_designs(units))
-    return float(np.sqrt(np.mean((resim - spectrum) ** 2, axis=1)).min())
-
-
 def _inverse_quality(model, single_model, ds):
     """Criterion 5's gate and verdict detail for a K=10 model against a K=1 one.
 
-    Both re-simulate clipped component means through the surrogate on the first
-    50 test spectra: the K=10 model's best of its top 4, the K=1 model's one
-    mean.  The mixture must beat the single-solution inverse in the mean and
-    on more than half of the spectra.  The spectral nearest-training-neighbor
-    lookup is reported as context only.
+    Both are scored by ``mdn.rank_candidates``, the inverse step ``predict``
+    ships, on the first 50 test spectra: the K=10 model's best of its top 4, the
+    K=1 model's one mean.  The mixture must beat the single-solution inverse in
+    the mean and on more than half of the spectra.  The spectral
+    nearest-training-neighbor lookup is reported as context only.
     """
+
+    def best_rmse(m, spectrum, top):
+        return mdn.rank_candidates(mdn.mixture_for(m, spectrum), spectrum, top).rmse.min()
+
     test_idx = ds.indices("test")[:50]
     train_spectra = ds.spectra_for("train")
     best, single, base = [], [], []
     for i in test_idx:
         spectrum = ds.spectra[i]
-        best.append(_best_of_top_rmse(model, spectrum, 4))
-        single.append(_best_of_top_rmse(single_model, spectrum, 1))
+        best.append(best_rmse(model, spectrum, 4))
+        single.append(best_rmse(single_model, spectrum, 1))
         base.append(
             float(np.sqrt(np.mean((train_spectra - spectrum) ** 2, axis=1)).min())
         )
@@ -227,7 +229,7 @@ def test_criterion_6_multi_valued_recovery(tl1_sweep):
 def test_criterion_7_autoencoder(desk_dataset, trained_ae, tl1_sweep, ae_sweep):
     """The latent pipeline stays functional: bounded degradation per K."""
     fit = trained_ae.fit
-    baseline = autoencoder.mean_baseline_mse(
+    baseline = mean_baseline_mse(
         desk_dataset.spectra_for("train"), desk_dataset.spectra_for("val")
     )
     recon_ok = fit.best_val_loss < baseline and fit.best_val_loss <= AE_VAL_MSE_THRESHOLD

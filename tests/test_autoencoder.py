@@ -11,12 +11,12 @@ from specinv.autoencoder import (
     encode,
     init_ae,
     load_ae,
-    mean_baseline_mse,
     reconstruction_mse,
     save_ae,
     train_ae,
 )
 from specinv.train import TrainConfig
+from util import mean_baseline_mse
 
 
 class TestShapes:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from specinv import autoencoder, cli, dataset, mdn, transfer
 from specinv.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from util import load_metadata
 
 
 def run(*argv) -> int:
@@ -40,7 +41,7 @@ class TestGenData:
         assert run("gen-data", "--samples", 10, "--seed", 1, "--out", out) == EXIT_OK
         ds = dataset.load_dataset(out)
         assert ds.counts() == {"train": 8, "val": 1, "test": 1}
-        meta = dataset.load_metadata(out)
+        meta = load_metadata(out)
         assert meta["samples"] == 10 and meta["seed"] == 1
 
     def test_byte_identical_for_same_seed(self, tmp_path):
@@ -59,7 +60,7 @@ class TestGenData:
     def test_full_scale_generation(self, tmp_path):
         out = tmp_path / "full.csv"
         assert run("gen-data", "--seed", 0, "--out", out) == EXIT_OK
-        meta = dataset.load_metadata(out)
+        meta = load_metadata(out)
         assert meta["samples"] == 3848
         assert meta["split_counts"] == {"train": 3078, "val": 384, "test": 386}
         with open(out) as fh:
@@ -240,6 +241,27 @@ class TestPredict:
         )
         assert code == EXIT_IO
 
+    def test_infeasible_candidate_is_warned(self, spectrum_file, tmp_path, capsys):
+        """A clipped mean at p = 305, w = 190 breaks p - w >= 200: predict still writes
+        it, and says so on stderr, one line per such candidate."""
+        model = mdn.build_mdn(101, 2, np.random.default_rng(0))
+        head = model.head
+        head.pi_w[:] = 0.0
+        head.pi_b[:] = [1.0, 0.0]
+        head.mu_w[:] = 0.0
+        head.mu_b[:] = [-0.5, 1.5, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.5, 0.5]
+        checkpoint = tmp_path / "infeasible.json"
+        mdn.save_mdn(checkpoint, model)
+        out = tmp_path / "pred_infeasible"
+        code = run("predict", "--checkpoint", checkpoint, "--spectrum-file", spectrum_file,
+                   "--top", 2, "--out", out)
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.err == "warning: candidate 1: p - w = 115 violates the 200.0 nm gap\n"
+        assert captured.out.startswith(f"wrote 2 candidates to {out} ")
+        rows = read_csv(out / "predictions.csv")
+        assert [(float(r["p"]), float(r["w"])) for r in rows] == [(305.0, 190.0), (415.0, 45.0)]
+
 
 def _edit_json(edit):
     def apply(text):
@@ -339,6 +361,27 @@ class TestReport:
     def test_missing_run_dir(self, tmp_path):
         code = run("report", "--run-dir", tmp_path / "nope")
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("name,edit,where", [
+        ("sweep_results.csv",
+         lambda lines: [line.split(",", 1)[1] for line in lines], "line 1: missing column K"),
+        ("log_k01.csv",
+         lambda lines: [lines[0].replace("_nll", "_mse")] + lines[1:],
+         "line 1: missing column train_nll, val_nll"),
+        ("log_k01.csv",
+         lambda lines: lines[:1] + ["1,abc," + lines[1].split(",")[2]] + lines[2:],
+         "line 2: cannot read train_nll from 'abc'"),
+        ("sweep_results.csv", lambda lines: lines[:1], "no rows after the header"),
+    ], ids=["results_without_K", "log_with_mse_columns", "non_numeric_train_nll",
+            "header_only_results"])
+    def test_malformed_run_file(self, name, edit, where, tiny_dataset, finished_run, capsys):
+        path = finished_run / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code = run("report", "--run-dir", finished_run, "--dataset", tiny_dataset)
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err == f"error: {path}: {where}\n"
+        assert not (finished_run / "report").exists()
 
     @pytest.mark.parametrize("flag,value", [("--k", 0), ("--k", 7), ("--test-index", 99)])
     def test_bad_choice_writes_nothing(self, flag, value, tiny_dataset, finished_run, capsys):

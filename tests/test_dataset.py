@@ -16,7 +16,6 @@ from specinv.dataset import (
     generate_designs,
     generate_dataset,
     load_dataset,
-    load_metadata,
     normalize_designs,
     peak_parameters,
     save_dataset,
@@ -27,6 +26,7 @@ from specinv.dataset import (
     witness_pair,
 )
 from specinv.train import arrays_from_dataset
+from util import load_metadata
 
 
 class TestScaleAndFilter:
@@ -72,6 +72,18 @@ class TestDesignParams:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             DesignParams(math.nan, 45.0, 200.0, 100.0, 100.0)
+
+    def test_design_faults_per_row(self):
+        faults = dataset.design_faults(np.array([
+            [400.0, 100.0, 200.0, 100.0, 100.0],
+            [300.0, 45.0, 200.0, 100.0, 100.0],
+            [310.0, 150.0, 200.0, 100.0, 100.0],
+            [400.0, math.nan, 200.0, 100.0, 100.0],
+        ]))
+        assert faults[0] == ""
+        assert "intervals" in faults[1]
+        assert faults[2] == "p - w = 160 violates the 200.0 nm gap"
+        assert "non-finite" in faults[3]
 
     def test_normalization_round_trip(self):
         rng = np.random.default_rng(4)

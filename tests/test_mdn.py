@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specinv import mdn, nncore
+from specinv import dataset, mdn, nncore
 from specinv.mdn import (
     LOSS_CEILING,
     MdnHead,
@@ -14,7 +14,6 @@ from specinv.mdn import (
     batch_nll_and_grads,
     build_mdn,
     component_pdf,
-    head_forward,
     init_mdn_head,
     mixture_for,
     nll_loss,
@@ -35,43 +34,46 @@ def zero_head(k, n, f):
     )
 
 
+def small_model(head, rng):
+    """A one-layer trunk as wide as the head's features, in front of ``head``."""
+    f = head.feature_width
+    return mdn.MdnModel(trunk=nncore.init_mlp([f, f], rng), head=head)
+
+
 class TestHeadForward:
+    """The head's transforms, seen through ``mixture_for`` on a small trunk."""
+
     def test_zero_pi_head_is_uniform(self):
-        head = zero_head(k=4, n=5, f=8)
-        mix = head_forward(head, np.random.default_rng(0).normal(size=8))
+        rng = np.random.default_rng(0)
+        mix = mixture_for(small_model(zero_head(k=4, n=5, f=8), rng), rng.normal(size=8))
         np.testing.assert_array_equal(mix.pi, np.full(4, 0.25))
 
     def test_zero_sigma_head_gives_unit_sigma(self):
-        head = zero_head(k=3, n=5, f=8)
-        mix = head_forward(head, np.random.default_rng(1).normal(size=8))
+        rng = np.random.default_rng(1)
+        mix = mixture_for(small_model(zero_head(k=3, n=5, f=8), rng), rng.normal(size=8))
         np.testing.assert_array_equal(mix.sigma, np.ones((3, 5)))
 
     def test_softmax_oracle(self):
         """pi logits [ln 3, 0] must produce weights [0.75, 0.25]."""
         head = zero_head(k=2, n=5, f=4)
         head.pi_b[:] = [math.log(3.0), 0.0]
-        mix = head_forward(head, np.zeros(4))
+        mix = mixture_for(small_model(head, np.random.default_rng(2)), np.zeros(4))
         np.testing.assert_allclose(mix.pi, [0.75, 0.25], rtol=0, atol=1e-12)
 
     def test_sigma_strictly_positive(self):
         rng = np.random.default_rng(2)
-        head = init_mdn_head(16, 5, 5, rng)
+        model = small_model(init_mdn_head(16, 5, 5, rng), rng)
         for _ in range(50):
-            mix = head_forward(head, rng.normal(scale=3.0, size=16))
+            mix = mixture_for(model, rng.normal(scale=3.0, size=16))
             assert np.all(mix.sigma > 0.0)
 
     def test_pi_normalized(self):
         rng = np.random.default_rng(3)
-        head = init_mdn_head(16, 7, 5, rng)
+        model = small_model(init_mdn_head(16, 7, 5, rng), rng)
         for _ in range(50):
-            mix = head_forward(head, rng.normal(scale=3.0, size=16))
+            mix = mixture_for(model, rng.normal(scale=3.0, size=16))
             assert abs(mix.pi.sum() - 1.0) <= 1e-9
             assert np.all(mix.pi > 0.0)
-
-    def test_feature_width_checked(self):
-        head = zero_head(k=2, n=5, f=8)
-        with pytest.raises(ValueError, match="features"):
-            head_forward(head, np.zeros(7))
 
 
 class TestComponentPdf:
@@ -238,6 +240,30 @@ class TestPredictModes:
         mix = MixtureParams(pi=np.array([1.0]), mu=np.zeros((1, 2)), sigma=np.ones((1, 2)))
         with pytest.raises(ValueError, match="top_m"):
             predict_modes(mix, 2)
+
+
+class TestRankCandidates:
+    def test_clipped_ranked_rescored_and_flagged(self):
+        mix = MixtureParams(
+            pi=np.array([0.2, 0.5, 0.3]),
+            mu=np.array([[1.0, 0.0, 0.5, 0.5, 0.5],
+                         [-0.5, 1.5, 0.5, 0.5, 0.5],
+                         [0.5, 0.5, 0.5, 0.5, 2.0]]),
+            sigma=np.ones((3, 5)),
+        )
+        spectrum = dataset.surrogate_spectrum(dataset.witness_pair()[0])
+        found = mdn.rank_candidates(mix, spectrum, 2)
+        np.testing.assert_array_equal(found.pi, [0.5, 0.3])
+        np.testing.assert_array_equal(
+            found.designs, dataset.denormalize_designs([[0.0, 1.0, 0.5, 0.5, 0.5],
+                                                        [0.5, 0.5, 0.5, 0.5, 1.0]])
+        )
+        np.testing.assert_array_equal(found.resimulated, dataset.surrogate_spectra(found.designs))
+        for resim, rmse in zip(found.resimulated, found.rmse):
+            assert rmse == math.sqrt(np.mean((resim - spectrum) ** 2))
+        # p = 305, w = 190 breaks the gap; p = 360, w = 117.5 keeps it
+        assert found.faults[0] == "p - w = 115 violates the 200.0 nm gap"
+        assert found.faults[1] == ""
 
 
 class TestWeightedMarginal:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specinv import mdn, transfer
+from specinv import mdn, nncore, transfer
 from specinv.mdn import build_mdn, mixture_for, nll_loss
 from specinv.nncore import TrainingDivergedError
 from specinv.train import SupervisedArrays, TrainConfig
@@ -242,7 +242,7 @@ class TestSweepCsv:
                     trunk_widths=[6, 8], n_targets=2)
         path = tmp_path / "sweep_results.csv"
         transfer.write_sweep_results(path, res)
-        rows = transfer.read_sweep_results(path)
+        rows = nncore.read_csv(path, transfer.SWEEP_RESULTS_COLUMNS)
         assert [r["K"] for r in rows] == [1, 2]
         for row, entry in zip(rows, res.entries):
             assert row["epochs"] == entry.epochs

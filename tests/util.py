@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: oracles and gradient checking."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -62,3 +64,16 @@ def random_mixture(rng, k=None, n=5, mu_scale=2.0):
     mu = rng.normal(scale=mu_scale, size=(k, n))
     sigma = np.exp(rng.normal(scale=0.8, size=(k, n)))
     return MixtureParams(pi=pi, mu=mu, sigma=sigma)
+
+
+def mean_baseline_mse(train_spectra, eval_spectra):
+    """MSE of always predicting the training-set mean spectrum: the autoencoder's baseline."""
+    mean = train_spectra.mean(axis=0)
+    return float(np.mean((eval_spectra - mean) ** 2))
+
+
+def load_metadata(path):
+    """The sidecar JSON that ``save_dataset`` writes next to a dataset CSV."""
+    path = Path(path)
+    meta_path = path.with_suffix(path.suffix + ".meta.json")
+    return json.loads(meta_path.read_text(encoding="utf-8"))

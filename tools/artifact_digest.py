@@ -42,6 +42,7 @@ COMMANDS = [
                         "--ae", "sweep_tl1_ae/ae.json", "--spectrum-file", "spectrum.txt",
                         "--top", "2", "--out", "predict_latent"]),
     ("report", ["report", "--run-dir", "sweep_tl2", "--dataset", "data.csv"]),
+    ("report_ae", ["report", "--run-dir", "sweep_tl1_ae", "--dataset", "data.csv"]),
 ]
 
 
