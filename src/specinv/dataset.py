@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .nncore import DatasetFormatError, write_csv
 
@@ -71,11 +70,16 @@ def denormalize_designs(u: np.ndarray) -> np.ndarray:
     return PARAM_LOWER + np.asarray(u, dtype=np.float64) * (PARAM_UPPER - PARAM_LOWER)
 
 
+def _inside_intervals(d: np.ndarray) -> np.ndarray:
+    """Per row of (n, 5): every value within its sampling interval."""
+    # NaN fails every comparison, so require inside rather than reject outside
+    return ((d >= PARAM_LOWER) & (d <= PARAM_UPPER)).all(axis=1)
+
+
 def design_faults(designs: np.ndarray) -> np.ndarray:
     """Per physical design (rows of (n, 5)): why it breaks the design rule, '' if it holds."""
     d = np.array(designs, dtype=np.float64, ndmin=2, copy=None)
-    # NaN fails every comparison, so require inside rather than reject outside
-    inside = ((d >= PARAM_LOWER) & (d <= PARAM_UPPER)).all(axis=1)
+    inside = _inside_intervals(d)
     gap = d[:, 0] - d[:, 1]
     faults = np.full(len(d), "", dtype=object)
     for i in (~(inside & (gap >= MIN_PERIOD_WIDTH_GAP))).nonzero()[0]:
@@ -87,23 +91,28 @@ def design_faults(designs: np.ndarray) -> np.ndarray:
 # --- sampling -------------------------------------------------------------------
 
 
-def scale_and_filter(points: np.ndarray) -> list[DesignParams]:
-    """Scale unit-cube points and drop any sample that breaks the design rule."""
+def scale_and_filter(points: np.ndarray) -> np.ndarray:
+    """Scale unit-cube points to physical designs and keep the rows that hold the design rule."""
     scaled = denormalize_designs(points)
-    return [DesignParams.from_array(row) for row in scaled[design_faults(scaled) == ""]]
+    return scaled[design_faults(scaled) == ""]
 
 
 def generate_designs(n: int, seed: int) -> list[DesignParams]:
     """Valid designs from one randomized Sobol stream, drawn until n survive the filter."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    # scipy.stats takes longer to import than most commands take to run; only sampling needs it
+    from scipy.stats import qmc
+
     engine = qmc.Sobol(d=N_DIMS, seed=seed)
-    designs: list[DesignParams] = []
+    blocks: list[np.ndarray] = []
+    kept = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        while len(designs) < n:
-            designs.extend(scale_and_filter(engine.random(_SOBOL_BLOCK)))
-    return designs[:n]
+        while kept < n:
+            blocks.append(scale_and_filter(engine.random(_SOBOL_BLOCK)))
+            kept += len(blocks[-1])
+    return [DesignParams.from_array(row) for row in np.concatenate(blocks)[:n]]
 
 
 # --- forward model ----------------------------------------------------------------
@@ -138,8 +147,8 @@ def peak_parameters(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def surrogate_spectra(designs: np.ndarray) -> np.ndarray:
     """Absorbance spectra, (n, 101) in [0,1], for physical designs (n, 5)."""
     designs = np.atleast_2d(np.asarray(designs, dtype=np.float64))
-    if np.any(designs < PARAM_LOWER) or np.any(designs > PARAM_UPPER):
-        raise ValueError("design outside parameter intervals")
+    if not _inside_intervals(designs).all():
+        raise ValueError("design is non-finite or outside the parameter intervals")
     centers, widths, amps = peak_parameters(normalize_designs(designs))
     z = (WAVELENGTHS[None, None, :] - centers[:, :, None]) / widths[:, :, None]
     total = (amps[:, :, None] * np.exp(-z * z)).sum(axis=1)

@@ -368,11 +368,14 @@ def read_csv(path: str | Path, columns: dict[str, type]) -> list[dict]:
 
 
 def _float_array_json(a: np.ndarray) -> str:
-    """One 1-D float row as a JSON list, checked once and joined once."""
+    """One 1-D float row as a JSON list, checked once and formatted by one template.
+
+    ``"%.17g" % x`` is ``fmt(x)`` for every finite float, so the row text is the
+    per-float ``fmt`` join, made in one formatting call instead of one per float."""
     if not np.isfinite(a).all():
         bad = float(a[~np.isfinite(a)][0])
         raise ValueError(f"non-finite value {bad!r} cannot be checkpointed")
-    return "[" + ", ".join(map(fmt, a.tolist())) + "]"
+    return ("[" + ", ".join(["%.17g"] * len(a)) + "]") % tuple(a.tolist())
 
 
 def _json_fragments(obj, out: list[str], indent: int) -> None:

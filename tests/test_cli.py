@@ -3,7 +3,11 @@
 import csv
 import dataclasses
 import json
+import os
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,3 +548,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run("sweep", "--strategy", "magic")
         assert exc.value.code == EXIT_USAGE
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_leaves_sobol_sampling_unloaded():
+    """scipy.stats costs more to import than a predict costs to run: only sampling loads it."""
+    probe = (
+        "import sys\n"
+        "import specinv.cli\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "specinv.dataset.generate_designs(10, seed=0)\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["False", "True"]

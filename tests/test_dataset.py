@@ -32,20 +32,19 @@ from util import load_metadata
 class TestScaleAndFilter:
     def test_origin_maps_to_lower_bounds_and_is_kept(self):
         designs = scale_and_filter(np.zeros((1, 5)))
-        assert len(designs) == 1
-        np.testing.assert_array_equal(designs[0].to_array(), [305.0, 45.0, 150.0, 25.0, 80.0])
+        np.testing.assert_array_equal(designs, [[305.0, 45.0, 150.0, 25.0, 80.0]])
 
     def test_narrow_period_wide_cell_rejected(self):
         # p = 305, w = 190 -> gap 115 < 200
         u = np.array([[0.0, 1.0, 0.5, 0.5, 0.5]])
-        assert scale_and_filter(u) == []
+        assert scale_and_filter(u).shape == (0, 5)
 
     def test_wide_period_wide_cell_kept(self):
         # p = 415, w = 190 -> gap 225
         u = np.array([[1.0, 1.0, 0.5, 0.5, 0.5]])
         designs = scale_and_filter(u)
-        assert len(designs) == 1
-        assert designs[0].p - designs[0].w == pytest.approx(225.0)
+        assert designs.shape == (1, 5)
+        assert designs[0, 0] - designs[0, 1] == pytest.approx(225.0)
 
     def test_generate_designs_reaches_requested_count(self):
         designs = generate_designs(97, seed=2)
@@ -58,6 +57,13 @@ class TestScaleAndFilter:
         b = generate_designs(40, seed=9)
         for da, db in zip(a, b):
             np.testing.assert_array_equal(da.to_array(), db.to_array())
+
+    def test_prefix_across_block_boundaries(self):
+        """At seed 3, 700 designs come from one 1,024-point Sobol block and 1,600 from
+        three; the surplus of the last block is dropped, so the shorter is a prefix."""
+        short, long = generate_designs(700, seed=3), generate_designs(1600, seed=3)
+        assert len(long) == 1600
+        assert short == long[:700]
 
 
 class TestDesignParams:
@@ -126,6 +132,16 @@ class TestSurrogate:
         bad = PARAM_UPPER + 1.0
         with pytest.raises(ValueError, match="intervals"):
             surrogate_spectra(bad[None, :])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_design_rejected(self, value):
+        """NaN fails both interval comparisons, so it must not pass as inside."""
+        design = np.array([[400.0, 100.0, 200.0, 100.0, 100.0]])
+        for column in range(5):
+            bad = design.copy()
+            bad[0, column] = value
+            with pytest.raises(ValueError, match="non-finite or outside the parameter intervals"):
+                surrogate_spectra(bad)
 
     def test_witness_pair_is_multi_valued(self):
         """Far-apart designs, nearly identical spectra."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specinv import mdn, nncore
 from specinv.nncore import (
@@ -369,6 +371,23 @@ class TestCheckpoint:
             "}\n"
         )
         assert nncore.dump_checkpoint_text(payload) == expected
+
+    # edge floats: signed zero, the smallest subnormal, tiny, huge, and integral values
+    # >= 1e16, which ``.17g`` writes as 17 bare digits (1e16) or with an exponent (2**60)
+    EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 1e16, 2.0**60,
+                   -1.2345678901234567e18, 123456789012345680.0]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(row=st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)),
+        min_size=1, max_size=2000,
+    ))
+    @example(row=EDGE_FLOATS)
+    @example(row=[1e16] * 2000)
+    def test_row_template_equals_per_float_fmt(self, row):
+        row = np.array(row, dtype=np.float64)
+        expected = "[" + ", ".join(map(nncore.fmt, row.tolist())) + "]"
+        assert nncore._float_array_json(row) == expected
 
 
 class TestDeterminism:
