@@ -237,9 +237,10 @@ def nll_loss(mix: MixtureParams, y: np.ndarray) -> float:
 
 def _batch_losses(model: MdnModel, x: np.ndarray, y: np.ndarray, tape_out: list | None = None,
                   train: bool = False, dropout_rate: float = 0.0,
-                  rng: np.random.Generator | None = None):
+                  rng: np.random.Generator | None = None,
+                  workspace: nncore.Workspace | None = None):
     features, tape = nncore.forward(
-        model.trunk, x, train=train, dropout_rate=dropout_rate, rng=rng
+        model.trunk, x, train=train, dropout_rate=dropout_rate, rng=rng, workspace=workspace
     )
     pi_logits, mu, sigma_logits = _head_raw(model.head, features)
     log_pi = _log_softmax(pi_logits)
@@ -271,12 +272,14 @@ def batch_nll_and_grads(
     train: bool = False,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    workspace: nncore.Workspace | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Mean loss plus gradients ordered like ``model.parameters()``.
 
     The gradient flows through the log-sum-exp mixture density, the exp/softmax
     output transforms, and the trunk (with dropout masks replayed from the
-    forward tape when ``train`` is set).
+    forward tape when ``train`` is set).  A ``workspace`` for the trunk holds its
+    intermediates and its gradients (see ``nncore.Workspace``).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -287,7 +290,8 @@ def batch_nll_and_grads(
         raise ValueError("empty batch")
     saved: list = []
     losses = _batch_losses(
-        model, x, y, tape_out=saved, train=train, dropout_rate=dropout_rate, rng=rng
+        model, x, y, tape_out=saved, train=train, dropout_rate=dropout_rate, rng=rng,
+        workspace=workspace,
     )
     features, tape, log_pi, mu, sigma, log_phi, log_mix = saved[0]
     k, n = model.head.n_components, model.head.n_targets
@@ -324,7 +328,7 @@ def batch_nll_and_grads(
         g_sig_flat.sum(axis=0),
     ]
     g_features = g_pi_logits @ head.pi_w + g_mu_flat @ head.mu_w + g_sig_flat @ head.sigma_w
-    trunk_grads, _ = nncore.backward(model.trunk, tape, g_features)
+    trunk_grads, _ = nncore.backward(model.trunk, tape, g_features, workspace=workspace)
     return float(np.mean(losses)), trunk_grads + head_grads
 
 
