@@ -188,7 +188,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _load_arrays(cfg: RunConfig):
+    """The dataset and its split matrices; a split without rows is a format error."""
     ds = dataset.load_dataset(cfg.dataset)
+    empty = [split for split, count in ds.counts().items() if count == 0]
+    if empty:
+        raise DatasetFormatError(f"{cfg.dataset}: no {' or '.join(empty)} rows")
     return ds, arrays_from_dataset(ds)
 
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import dataset, nncore
 from .nncore import MlpModel, TrainingDivergedError
@@ -298,7 +297,7 @@ def batch_nll_and_grads(
 
     # rho = d/dS of the density S through the outer shift: S / (S + eps),
     # written as a sigmoid of log S - log eps for stability.
-    rho = expit(log_mix - _LOG_DENSITY_EPS)
+    rho = nncore.sigmoid(log_mix - _LOG_DENSITY_EPS)
     w = log_pi + log_phi
     finite = np.isfinite(log_mix)
     resp = np.zeros_like(w)
@@ -315,6 +314,8 @@ def batch_nll_and_grads(
     with np.errstate(invalid="ignore", over="ignore"):
         g_mu = coeff * diff / (s_shift * s_shift)
         g_sigma_logits = coeff * (diff * diff / s_shift**3 - 1.0 / s_shift) * sigma
+    # a saturated logit's sigma is inf, its responsibility 0 and its gradient 0, not 0 * inf
+    g_sigma_logits[np.isinf(sigma)] = 0.0
 
     head = model.head
     g_mu_flat = g_mu.reshape(b, k * n)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -35,10 +34,23 @@ class DatasetFormatError(ValueError):
     """Malformed data file (dataset, spectrum or run CSV); names the file and any line."""
 
 
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-z)), written into ``out`` if given.
+
+    Where exp(-z) overflows (z below -709.78) the result is 0, as scipy's
+    ``expit`` gives there; NaN stays NaN.  No floating-point warning is raised.
+    """
+    t = np.negative(z, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
+
+
 def silu(v: np.ndarray) -> np.ndarray:
     """Elementwise x * sigmoid(x)."""
     v = np.asarray(v, dtype=np.float64)
-    return v * expit(v)
+    return v * sigmoid(v)
 
 
 def _silu_grad(z: np.ndarray, sig: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -235,7 +247,7 @@ def forward(
         z = np.matmul(a, model.weights[l].T, out=None if fresh else ws.pre_act[l][:n])
         z += model.biases[l]
         if model.activations[l] == ACT_SILU:
-            sig = expit(z, out=None if ws is None else ws.sig[l][:n])
+            sig = sigmoid(z, None if ws is None else ws.sig[l][:n])
             h = np.multiply(z, sig, out=None if fresh else ws.hidden[l][:n])
         else:
             sig = None

@@ -11,7 +11,7 @@ import numpy as np
 from . import dataset as dataset_mod
 from . import mdn, nncore
 from .mdn import MdnModel
-from .nncore import EarlyStopping
+from .nncore import EarlyStopping, TrainingDivergedError
 
 if TYPE_CHECKING:
     from .autoencoder import AeModel
@@ -24,6 +24,9 @@ ROLE_DONOR = 4
 ROLE_AE_INIT = 5
 ROLE_AE_SHUFFLE = 6
 ROLE_WARM_JITTER = 7
+
+# A mean validation NLL within this of ``mdn.LOSS_CEILING`` means the model has collapsed
+COLLAPSE_MARGIN = 1e-9
 
 
 def child_rng(*entropy: int) -> np.random.Generator:
@@ -164,8 +167,16 @@ def train_mdn(
             train=True, dropout_rate=config.dropout_rate, rng=dropout_rng, workspace=workspace,
         )
 
+    def val_loss():
+        loss = mdn.batch_nll(model, data.val_x, data.val_y)
+        # this close to the ceiling, every validation density is below the floor, and with
+        # no density left no gradient is left either: training cannot recover
+        if loss > mdn.LOSS_CEILING - COLLAPSE_MARGIN:
+            raise TrainingDivergedError(f"validation loss {loss!r} is at the loss ceiling")
+        return loss
+
     epochs, log, best = fit(
-        model.parameters(), data.train_x.shape[0], batch_loss_and_grads,
-        lambda: mdn.batch_nll(model, data.val_x, data.val_y), config, shuffle_rng,
+        model.parameters(), data.train_x.shape[0], batch_loss_and_grads, val_loss, config,
+        shuffle_rng,
     )
     return TrainResult(model=model, epochs=epochs, log=log, best_val_loss=best)

@@ -314,6 +314,21 @@ class TestBadInputs:
         assert code == EXIT_IO
         assert not (tmp_path / "pred").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep --autoencoder"])
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_empty_split_rejected_before_any_work(self, split, command, tiny_dataset, tmp_path,
+                                                  capsys):
+        ds = dataset.load_dataset(tiny_dataset)
+        ds.split_tags[ds.split_tags == split] = "train" if split != "train" else "val"
+        path = tmp_path / f"no_{split}.csv"
+        dataset.save_dataset(path, ds)
+        out = tmp_path / "run"
+        code = run(*command.split(), "--dataset", path, "--out", out, "--max-epochs", 2)
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err == f"error: {path}: no {split} rows\n"
+        assert not out.exists()
+
 
 class TestReport:
     @pytest.fixture()
@@ -566,3 +581,12 @@ def test_cli_import_leaves_sobol_sampling_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.split() == ["False", "True"]
+
+
+def test_cli_import_loads_no_scipy():
+    """Only gen-data's Sobol sampling needs scipy; every other command runs without it."""
+    probe = "import sys\nimport specinv.cli\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,9 +1,12 @@
 """Mixture head, stabilized loss, and prediction utilities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specinv import dataset, mdn, nncore
 from specinv.mdn import (
@@ -210,6 +213,47 @@ class TestBatchLoss:
         x[1, 0] = np.nan
         with pytest.raises(nncore.TrainingDivergedError, match="sample 1"):
             batch_nll(model, x, y)
+
+
+# saturated head logits: far past where exp overflows or underflows, and ordinary values
+SATURATED = st.sampled_from([800.0, -800.0, 1e4, -1e4, 0.0]) | st.floats(-1e4, 1e4)
+
+
+class TestSaturatedLogits:
+    """The loss stays capped and its gradients finite however far the head saturates."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        pi_b=st.lists(SATURATED, min_size=3, max_size=3),
+        sigma_b=st.lists(SATURATED, min_size=6, max_size=6),
+        targets=st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+    )
+    @example(pi_b=[0.0, 0.0, 0.0], sigma_b=[800.0] * 6, targets=[0.5, 0.5, 0.5, 0.5])
+    @example(pi_b=[1e4, -1e4, 800.0], sigma_b=[800.0, -800.0, 1e4, -1e4, 0.0, 1.0],
+             targets=[1e6, -1e6, 0.0, 3.0])
+    def test_loss_capped_and_gradients_finite(self, pi_b, sigma_b, targets):
+        model = build_mdn(6, 3, np.random.default_rng(12), n_targets=2, trunk_widths=[6, 8])
+        model.head.pi_b[:] = pi_b
+        model.head.sigma_b[:] = sigma_b
+        x = np.random.default_rng(13).normal(size=(2, 6))
+        y = np.array(targets).reshape(2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grads = batch_nll_and_grads(model, x, y)
+        assert loss <= LOSS_CEILING
+        for g in grads:
+            assert np.isfinite(g).all()
+
+    def test_infinite_sigma_gets_zero_gradient(self):
+        """sigma = exp(800) overflows: that component takes no responsibility and no step."""
+        model = build_mdn(6, 2, np.random.default_rng(14), n_targets=2, trunk_widths=[6, 8])
+        model.head.sigma_b[:2] = 800.0
+        x = np.random.default_rng(15).normal(size=(3, 6))
+        y = np.full((3, 2), 0.5)
+        _, grads = batch_nll_and_grads(model, x, y)
+        g_sigma_w, g_sigma_b = grads[-2], grads[-1]
+        assert not g_sigma_b[:2].any() and not g_sigma_w[:2].any()
+        assert g_sigma_b[2:].any()
 
 
 class TestPredictModes:

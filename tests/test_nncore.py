@@ -1,11 +1,13 @@
 """Engine-level tests: activations, forward/backward, Adam, early stopping, checkpoints."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from specinv import mdn, nncore
 from specinv.nncore import (
@@ -68,6 +70,40 @@ class TestSilu:
         out = silu(v)
         for i, x in enumerate(v):
             assert out[i] == pytest.approx(x / (1.0 + math.exp(-x)), abs=1e-12)
+
+
+def ulp_distance(a, b):
+    """Units in the last place between nonnegative doubles, elementwise."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestSigmoid:
+    """scipy's expit is the oracle; scipy stays installed for Sobol sampling."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(z=st.lists(st.floats(), min_size=1, max_size=40))
+    @example(z=[math.inf, -math.inf, 1e308, -1e308, -745.0, 5e-324, -5e-324, math.nan])
+    @example(z=[-720.0, -709.79, -709.78, 0.0, -0.0, 36.0, -36.0, 1.0, 0.5, -0.5])
+    def test_within_four_ulp_of_expit(self, z):
+        z = np.array(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nncore.sigmoid(z)
+        want = expit(z)
+        nan = np.isnan(z)
+        assert np.isnan(got[nan]).all()
+        assert (ulp_distance(got[~nan], want[~nan]) <= 4).all()
+
+    def test_dense_grid_through_the_overflow_range(self):
+        z = np.linspace(-760.0, 60.0, 200_001)
+        assert ulp_distance(nncore.sigmoid(z), expit(z)).max() <= 4
+
+    def test_writes_into_out(self):
+        z = np.array([-800.0, -1.0, 0.0, 2.0])
+        out = np.empty(4)
+        assert nncore.sigmoid(z, out) is out
+        np.testing.assert_array_equal(out, nncore.sigmoid(z))
+        np.testing.assert_array_equal(z, [-800.0, -1.0, 0.0, 2.0])
 
 
 class TestForward:

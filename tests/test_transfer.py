@@ -8,7 +8,7 @@ import pytest
 from specinv import mdn, nncore, transfer
 from specinv.mdn import build_mdn, mixture_for, nll_loss
 from specinv.nncore import TrainingDivergedError
-from specinv.train import SupervisedArrays, TrainConfig
+from specinv.train import SupervisedArrays, TrainConfig, train_mdn
 from specinv.transfer import choose_donor, grow, sweep
 
 
@@ -219,6 +219,16 @@ class TestSweep:
         with pytest.raises(TrainingDivergedError, match="K=1"):
             sweep(arrays, 2, "tl1", self._cfg(),
                   trunk_widths=[6, 8], n_targets=2)
+
+    def test_collapse_to_the_loss_ceiling_is_a_divergence(self):
+        """sigma = exp(800) is inf for every component: every density is 0, every
+        gradient 0, and the run can never leave the ceiling."""
+        model = toy_model(2, seed=4)
+        model.head.sigma_b[:] = 800.0
+        cfg = self._cfg()
+        with pytest.raises(TrainingDivergedError, match="ceiling"):
+            train_mdn(model, toy_arrays(seed=4), cfg, np.random.default_rng(cfg.seed),
+                      np.random.default_rng(cfg.seed + 1))
 
     def test_val_nll_is_the_restored_models_val_loss(self):
         """SweepEntry.val_nll is the loop's best_val_loss, bit for bit the restored model's."""
