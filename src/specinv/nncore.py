@@ -255,6 +255,7 @@ def forward(
         mask = None
         if use_dropout and l in model.dropout_after:
             keep = 1.0 - dropout_rate
+            # the draws of rng.random(h.shape), then 1/keep where a draw is below keep, else 0
             mask = rng.random(h.shape, out=None if ws is None else ws.mask[l][:n])
             np.less(mask, keep, out=mask)
             mask /= keep

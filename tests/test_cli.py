@@ -585,7 +585,11 @@ def test_cli_import_leaves_sobol_sampling_unloaded():
 
 def test_cli_import_loads_no_scipy():
     """Only gen-data's Sobol sampling needs scipy; every other command runs without it."""
-    probe = "import sys\nimport specinv.cli\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    probe = (
+        "import sys\n"
+        "import specinv.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)

@@ -251,9 +251,8 @@ class TestBackward:
 
 def _dropout_net(seed=0):
     """Silu hidden layers with dropout in the middle and an identity output layer."""
-    widths = [6, 9, 12, 4]
-    return init_mlp(widths, np.random.default_rng(seed), activations=[ACT_SILU, ACT_SILU,
-                    ACT_IDENTITY], dropout_after={1})
+    return init_mlp([6, 9, 12, 4], np.random.default_rng(seed),
+                    activations=[ACT_SILU, ACT_SILU, ACT_IDENTITY], dropout_after={1})
 
 
 class TestWorkspace:
