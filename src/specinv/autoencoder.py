@@ -63,21 +63,17 @@ def train_ae(
 ) -> TrainResult:
     """Minimize reconstruction MSE from ``init_ae(rng)``; returns the best-validation model."""
     model = init_ae(rng)
-    enc_ws = nncore.Workspace(model.encoder, config.batch_size)
-    dec_ws = nncore.Workspace(model.decoder, config.batch_size)
 
     def batch_loss_and_grads(idx):
         batch = train_spectra[idx]
-        latent, enc_tape = nncore.forward(model.encoder, batch, workspace=enc_ws)
-        recon, dec_tape = nncore.forward(model.decoder, latent, workspace=dec_ws)
+        latent, enc_tape = nncore.forward(model.encoder, batch)
+        recon, dec_tape = nncore.forward(model.decoder, latent)
         err = recon - batch
         loss = float(np.mean(err * err))
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite reconstruction loss {loss!r}")
-        dec_grads, g_latent = nncore.backward(
-            model.decoder, dec_tape, 2.0 * err / err.size, workspace=dec_ws
-        )
-        enc_grads, _ = nncore.backward(model.encoder, enc_tape, g_latent, workspace=enc_ws)
+        dec_grads, g_latent = nncore.backward(model.decoder, dec_tape, 2.0 * err / err.size)
+        enc_grads, _ = nncore.backward(model.encoder, enc_tape, g_latent)
         return loss, enc_grads + dec_grads
 
     epochs, log, best = fit(

@@ -234,13 +234,10 @@ def nll_loss(mix: MixtureParams, y: np.ndarray) -> float:
     return float(losses[0])
 
 
-def _batch_losses(model: MdnModel, x: np.ndarray, y: np.ndarray, tape_out: list | None = None,
-                  train: bool = False, dropout_rate: float = 0.0,
-                  rng: np.random.Generator | None = None,
-                  workspace: nncore.Workspace | None = None):
-    features, tape = nncore.forward(
-        model.trunk, x, train=train, dropout_rate=dropout_rate, rng=rng, workspace=workspace
-    )
+def _batch_losses(model: MdnModel, x: np.ndarray, y: np.ndarray, train: bool = False,
+                  dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
+    """Per-sample losses, then the intermediates the gradient reuses."""
+    features, tape = nncore.forward(model.trunk, x, train=train, dropout_rate=dropout_rate, rng=rng)
     pi_logits, mu, sigma_logits = _head_raw(model.head, features)
     log_pi = _log_softmax(pi_logits)
     with np.errstate(over="ignore"):  # saturated sigma logits become inf, then -inf log_phi
@@ -250,9 +247,7 @@ def _batch_losses(model: MdnModel, x: np.ndarray, y: np.ndarray, tape_out: list 
     if np.isnan(losses).any():
         idx = int(np.flatnonzero(np.isnan(losses))[0])
         raise TrainingDivergedError(f"NaN loss at batch sample {idx}")
-    if tape_out is not None:
-        tape_out.append((features, tape, log_pi, mu, sigma, log_phi, log_mix))
-    return losses
+    return losses, (features, tape, log_pi, mu, sigma, log_phi, log_mix)
 
 
 def batch_nll(model: MdnModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -261,7 +256,8 @@ def batch_nll(model: MdnModel, x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    return float(np.mean(_batch_losses(model, x, y)))
+    losses, _ = _batch_losses(model, x, y)
+    return float(np.mean(losses))
 
 
 def batch_nll_and_grads(
@@ -271,14 +267,12 @@ def batch_nll_and_grads(
     train: bool = False,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    workspace: nncore.Workspace | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Mean loss plus gradients ordered like ``model.parameters()``.
 
     The gradient flows through the log-sum-exp mixture density, the exp/softmax
     output transforms, and the trunk (with dropout masks replayed from the
-    forward tape when ``train`` is set).  A ``workspace`` for the trunk holds its
-    intermediates and its gradients (see ``nncore.Workspace``).
+    forward tape when ``train`` is set).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -287,12 +281,9 @@ def batch_nll_and_grads(
     b = x.shape[0]
     if b == 0:
         raise ValueError("empty batch")
-    saved: list = []
-    losses = _batch_losses(
-        model, x, y, tape_out=saved, train=train, dropout_rate=dropout_rate, rng=rng,
-        workspace=workspace,
+    losses, (features, tape, log_pi, mu, sigma, log_phi, log_mix) = _batch_losses(
+        model, x, y, train=train, dropout_rate=dropout_rate, rng=rng
     )
-    features, tape, log_pi, mu, sigma, log_phi, log_mix = saved[0]
     k, n = model.head.n_components, model.head.n_targets
 
     # rho = d/dS of the density S through the outer shift: S / (S + eps),
@@ -329,7 +320,7 @@ def batch_nll_and_grads(
         g_sig_flat.sum(axis=0),
     ]
     g_features = g_pi_logits @ head.pi_w + g_mu_flat @ head.mu_w + g_sig_flat @ head.sigma_w
-    trunk_grads, _ = nncore.backward(model.trunk, tape, g_features, workspace=workspace)
+    trunk_grads, _ = nncore.backward(model.trunk, tape, g_features)
     return float(np.mean(losses)), trunk_grads + head_grads
 
 

@@ -34,13 +34,13 @@ class DatasetFormatError(ValueError):
     """Malformed data file (dataset, spectrum or run CSV); names the file and any line."""
 
 
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-z)), written into ``out`` if given.
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-z)).
 
     Where exp(-z) overflows (z below -709.78) the result is 0, as scipy's
     ``expit`` gives there; NaN stays NaN.  No floating-point warning is raised.
     """
-    t = np.negative(z, out=out)
+    t = np.negative(z)
     with np.errstate(over="ignore"):
         np.exp(t, out=t)
     t += 1.0
@@ -53,9 +53,9 @@ def silu(v: np.ndarray) -> np.ndarray:
     return v * sigmoid(v)
 
 
-def _silu_grad(z: np.ndarray, sig: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    # d/dz [z * sigmoid(z)] = sigmoid(z) * (1 + z * (1 - sigmoid(z))), built in ``out``
-    t = np.subtract(1.0, sig, out=out)
+def _silu_grad(z: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    # d/dz [z * sigmoid(z)] = sigmoid(z) * (1 + z * (1 - sigmoid(z)))
+    t = np.subtract(1.0, sig)
     np.multiply(z, t, out=t)
     np.add(1.0, t, out=t)
     return np.multiply(sig, t, out=t)
@@ -144,49 +144,6 @@ def max_width_dropout_layers(layer_widths: list[int]) -> frozenset[int]:
     return frozenset(i for i, w in enumerate(hidden) if w == widest)
 
 
-class Workspace:
-    """Reused buffers for the training steps of one network, up to ``rows`` rows a batch.
-
-    A forward given a workspace writes its pre-activations, sigmoids, hidden
-    outputs and dropout masks here, and a backward given one writes its
-    gradient rows and parameter gradients here, so a training step allocates
-    almost nothing.  A batch of fewer rows uses the leading rows.  What
-    ``forward`` returns is never a buffer; the gradients ``backward`` returns
-    are, and the next backward overwrites them.  The next forward overwrites
-    the previous forward's buffers, so its tape goes stale: ``backward``
-    refuses a stale tape.
-    """
-
-    def __init__(self, model: MlpModel, rows: int):
-        if rows < 1:
-            raise ValueError(f"a workspace needs at least one row, got {rows}")
-        self.layer_widths = list(model.layer_widths)
-        self.rows = rows
-        self.generation = 0  # forwards so far; a tape is stale once this moves on
-
-        def per_layer(widths):
-            return [np.empty((rows, w)) for w in widths]
-
-        outputs = self.layer_widths[1:]
-        self.pre_act = per_layer(outputs)
-        self.sig = per_layer(outputs)
-        self.hidden = per_layer(outputs)
-        self.mask = per_layer(outputs)
-        self.grad_pre = per_layer(outputs)  # dLoss/d(pre-activation)
-        self.silu_grad = per_layer(outputs)
-        self.grad_in = per_layer(self.layer_widths[:-1])  # dLoss/d(layer input)
-        self.grad_w = [np.empty((o, i)) for i, o in zip(self.layer_widths[:-1], outputs)]
-        self.grad_b = [np.empty(o) for o in outputs]
-
-    def check(self, model: MlpModel, rows: int) -> None:
-        if model.layer_widths != self.layer_widths:
-            raise ValueError(
-                f"workspace for widths {self.layer_widths} used with {model.layer_widths}"
-            )
-        if rows > self.rows:
-            raise ValueError(f"batch of {rows} rows exceeds the workspace's {self.rows}")
-
-
 @dataclass
 class _LayerRecord:
     inputs: np.ndarray
@@ -200,8 +157,6 @@ class Tape:
     """Activation record from one forward pass; replays dropout masks exactly."""
 
     records: list[_LayerRecord]
-    workspace: Workspace | None = None  # holding the records' buffers, if any
-    generation: int = 0  # the workspace's forward count when this tape was made
 
     @property
     def batch_size(self) -> int:
@@ -214,16 +169,13 @@ def forward(
     train: bool = False,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, Tape]:
     """Run the network on a vector or a (batch, width) matrix.
 
     In train mode, inverted dropout (scale by 1/(1-rate)) is applied after the
     activation of every layer in ``dropout_after``; in eval mode dropout is the
     identity and the output does not depend on ``rng``.  The tape always holds
-    a batch: a vector's tape takes a (1, output_width) gradient.  With a
-    ``workspace``, every intermediate goes into its buffers (see ``Workspace``);
-    without one, each is allocated.
+    a batch: a vector's tape takes a (1, output_width) gradient.
     """
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
@@ -236,19 +188,13 @@ def forward(
     use_dropout = train and dropout_rate > 0.0
     if use_dropout and model.dropout_after and rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    ws, n = workspace, a.shape[0]
-    if ws is not None:
-        ws.check(model, n)
-        ws.generation += 1
     records = []
     for l in range(model.n_layers):
-        # the last layer's output is the caller's to keep, so it never goes into a buffer
-        fresh = ws is None or l == model.n_layers - 1
-        z = np.matmul(a, model.weights[l].T, out=None if fresh else ws.pre_act[l][:n])
+        z = a @ model.weights[l].T
         z += model.biases[l]
         if model.activations[l] == ACT_SILU:
-            sig = sigmoid(z, None if ws is None else ws.sig[l][:n])
-            h = np.multiply(z, sig, out=None if fresh else ws.hidden[l][:n])
+            sig = sigmoid(z)
+            h = z * sig
         else:
             sig = None
             h = z
@@ -256,35 +202,30 @@ def forward(
         if use_dropout and l in model.dropout_after:
             keep = 1.0 - dropout_rate
             # the draws of rng.random(h.shape), then 1/keep where a draw is below keep, else 0
-            mask = rng.random(h.shape, out=None if ws is None else ws.mask[l][:n])
+            mask = rng.random(h.shape)
             np.less(mask, keep, out=mask)
             mask /= keep
-            h = np.multiply(h, mask, out=None if fresh else ws.hidden[l][:n])
+            h = h * mask
         records.append(_LayerRecord(inputs=a, pre_act=z, sig=sig, mask=mask))
         a = h
     out = a[0] if single else a
-    return out, Tape(records, ws, 0 if ws is None else ws.generation)
+    return out, Tape(records)
 
 
 def backward(
-    model: MlpModel,
-    tape: Tape,
-    output_gradient: np.ndarray,
-    workspace: Workspace | None = None,
+    model: MlpModel, tape: Tape, output_gradient: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients of a scalar loss w.r.t. every weight and bias, plus the input.
 
     ``output_gradient`` is dLoss/dOutput, one row per sample of the tape's
     batch (any 1/batch factors belong to the caller).  Returns
     (param_grads, input_grad) with param_grads ordered like
-    ``model.parameters()``; with a ``workspace`` both are its buffers.
+    ``model.parameters()``.
     """
     if len(tape.records) != model.n_layers:
         raise ValueError(
             f"tape has {len(tape.records)} layers, model has {model.n_layers}"
         )
-    if tape.workspace is not None and tape.generation != tape.workspace.generation:
-        raise ValueError("stale tape: a later forward has reused its workspace buffers")
     g = np.asarray(output_gradient, dtype=np.float64)
     n = tape.batch_size
     if g.shape != (n, model.output_width):
@@ -292,9 +233,6 @@ def backward(
             f"output gradient shape {np.shape(output_gradient)} does not match "
             f"forward output ({n}, {model.output_width})"
         )
-    ws = workspace
-    if ws is not None:
-        ws.check(model, n)
     grad_w: list[np.ndarray] = [np.empty(0)] * model.n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * model.n_layers
     for l in reversed(range(model.n_layers)):
@@ -302,13 +240,12 @@ def backward(
         if rec.inputs.shape[1] != model.weights[l].shape[1]:
             raise ValueError(f"tape layer {l} does not match model weights")
         if rec.mask is not None:
-            g = np.multiply(g, rec.mask, out=None if ws is None else ws.grad_pre[l][:n])
+            g = g * rec.mask
         if model.activations[l] == ACT_SILU:
-            dsig = _silu_grad(rec.pre_act, rec.sig, None if ws is None else ws.silu_grad[l][:n])
-            g = np.multiply(g, dsig, out=None if ws is None else ws.grad_pre[l][:n])
-        grad_w[l] = np.matmul(g.T, rec.inputs, out=None if ws is None else ws.grad_w[l])
-        grad_b[l] = np.sum(g, axis=0, out=None if ws is None else ws.grad_b[l])
-        g = np.matmul(g, model.weights[l], out=None if ws is None else ws.grad_in[l][:n])
+            g = g * _silu_grad(rec.pre_act, rec.sig)
+        grad_w[l] = g.T @ rec.inputs
+        grad_b[l] = np.sum(g, axis=0)
+        g = g @ model.weights[l]
     return _interleave(grad_w, grad_b), g
 
 

@@ -159,12 +159,10 @@ def train_mdn(
     logged validation loss is recomputed in eval mode, so reloading the best
     checkpoint reproduces it exactly.
     """
-    workspace = nncore.Workspace(model.trunk, config.batch_size)
-
     def batch_loss_and_grads(idx):
         return mdn.batch_nll_and_grads(
             model, data.train_x[idx], data.train_y[idx],
-            train=True, dropout_rate=config.dropout_rate, rng=dropout_rng, workspace=workspace,
+            train=True, dropout_rate=config.dropout_rate, rng=dropout_rng,
         )
 
     def val_loss():

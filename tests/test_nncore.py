@@ -98,11 +98,10 @@ class TestSigmoid:
         z = np.linspace(-760.0, 60.0, 200_001)
         assert ulp_distance(nncore.sigmoid(z), expit(z)).max() <= 4
 
-    def test_writes_into_out(self):
+    def test_leaves_its_input_unchanged(self):
         z = np.array([-800.0, -1.0, 0.0, 2.0])
-        out = np.empty(4)
-        assert nncore.sigmoid(z, out) is out
-        np.testing.assert_array_equal(out, nncore.sigmoid(z))
+        got = nncore.sigmoid(z)
+        assert got is not z
         np.testing.assert_array_equal(z, [-800.0, -1.0, 0.0, 2.0])
 
 
@@ -247,85 +246,6 @@ class TestBackward:
         _, tape = forward(model, np.zeros(3))
         with pytest.raises(ValueError):
             backward(other, tape, np.zeros(2))
-
-
-def _dropout_net(seed=0):
-    """Silu hidden layers with dropout in the middle and an identity output layer."""
-    return init_mlp([6, 9, 12, 4], np.random.default_rng(seed),
-                    activations=[ACT_SILU, ACT_SILU, ACT_IDENTITY], dropout_after={1})
-
-
-class TestWorkspace:
-    def _train(self, workspace_for, steps=7, batch=5, rows=13):
-        """Adam on a squared loss over shuffled minibatches, the last one short."""
-        model = _dropout_net()
-        data_rng = np.random.default_rng(1)
-        x, y = data_rng.normal(size=(rows, 6)), data_rng.normal(size=(rows, 4))
-        drop_rng, shuffle_rng = np.random.default_rng(2), np.random.default_rng(3)
-        ws = workspace_for(model, batch)
-        params = model.parameters()
-        state = adam_init(params, learning_rate=1e-2)
-        for _ in range(steps):
-            perm = shuffle_rng.permutation(rows)
-            for start in range(0, rows, batch):
-                idx = perm[start : start + batch]
-                out, tape = forward(model, x[idx], train=True, dropout_rate=0.3, rng=drop_rng,
-                                    workspace=ws)
-                grads, _ = backward(model, tape, 2.0 * (out - y[idx]), workspace=ws)
-                adam_step(params, grads, state)
-        return params
-
-    def test_training_is_bit_equal_without_a_workspace(self):
-        reused = self._train(nncore.Workspace)
-        fresh = self._train(lambda model, rows: None)
-        for a, b in zip(reused, fresh):
-            np.testing.assert_array_equal(a, b)
-
-    def test_one_step_matches_allocating_forward_and_backward(self):
-        model = _dropout_net()
-        x = np.random.default_rng(4).normal(size=(3, 6))
-        g = np.random.default_rng(5).normal(size=(3, 4))
-        ws = nncore.Workspace(model, 8)
-        out_ws, tape_ws = forward(model, x, True, 0.5, np.random.default_rng(6), workspace=ws)
-        out, tape = forward(model, x, True, 0.5, np.random.default_rng(6))
-        np.testing.assert_array_equal(out_ws, out)
-        grads_ws, gin_ws = backward(model, tape_ws, g, workspace=ws)
-        grads, gin = backward(model, tape, g)
-        for a, b in zip(grads_ws + [gin_ws], grads + [gin]):
-            np.testing.assert_array_equal(a, b)
-
-    def test_stale_tape_raises(self):
-        model = _dropout_net()
-        ws = nncore.Workspace(model, 4)
-        x = np.ones((4, 6))
-        _, stale = forward(model, x, workspace=ws)
-        _, current = forward(model, 2.0 * x, workspace=ws)
-        with pytest.raises(ValueError, match="stale tape"):
-            backward(model, stale, np.ones((4, 4)))
-        with pytest.raises(ValueError, match="stale tape"):
-            backward(model, stale, np.ones((4, 4)), workspace=ws)
-        backward(model, current, np.ones((4, 4)), workspace=ws)
-
-    def test_kept_output_survives_later_steps(self):
-        model = _dropout_net()
-        ws = nncore.Workspace(model, 4)
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(4, 6))
-        kept, tape = forward(model, x, True, 0.3, np.random.default_rng(8), workspace=ws)
-        want = kept.copy()
-        backward(model, tape, np.ones((4, 4)), workspace=ws)
-        for _ in range(3):
-            out, tape = forward(model, rng.normal(size=(4, 6)), True, 0.3, rng, workspace=ws)
-            backward(model, tape, out, workspace=ws)
-        np.testing.assert_array_equal(kept, want)
-
-    def test_wrong_model_or_too_many_rows_raise(self):
-        model = _dropout_net()
-        ws = nncore.Workspace(model, 4)
-        with pytest.raises(ValueError, match="exceeds"):
-            forward(model, np.zeros((5, 6)), workspace=ws)
-        with pytest.raises(ValueError, match="widths"):
-            forward(init_mlp([6, 3], np.random.default_rng(0)), np.zeros((2, 6)), workspace=ws)
 
 
 class TestAdam:
