@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autoencoder, dataset, mdn, svgplot, transfer
 from .dataset import DatasetFormatError, PARAM_LOWER, PARAM_NAMES, PARAM_UPPER
-from .nncore import CheckpointFormatError, TrainingDivergedError, read_csv, write_csv
+from .nncore import CheckpointFormatError, TrainingDivergedError, read_csv, read_text, write_csv
 from .train import (
     ROLE_AE_INIT,
     ROLE_AE_SHUFFLE,
@@ -78,7 +78,10 @@ def parse_config_file(path: str | Path, command: str) -> dict:
     defaults = RunConfig()
     types = {f.name: type(getattr(defaults, f.name)) for f in dataclasses.fields(RunConfig)}
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = read_text(path)
+    except DatasetFormatError as exc:  # a bad --config is a usage error, as below
+        raise ValueError(str(exc)) from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -151,8 +154,7 @@ _LOG_COLUMNS = {"epoch": int, "train_nll": float, "val_nll": float}
 
 def read_spectrum_file(path: str | Path) -> np.ndarray:
     """A spectrum is 101 numbers separated by commas and/or whitespace."""
-    text = Path(path).read_text(encoding="utf-8")
-    tokens = text.replace(",", " ").split()
+    tokens = read_text(path).replace(",", " ").split()
     try:
         values = [float(t) for t in tokens]
     except ValueError as exc:
@@ -187,12 +189,18 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_dataset(path: str, splits: tuple[str, ...]) -> dataset.LabeledDataset:
+    """The dataset at ``path``; one of ``splits`` without rows is a format error."""
+    ds = dataset.load_dataset(path)
+    empty = [split for split in splits if ds.counts()[split] == 0]
+    if empty:
+        raise DatasetFormatError(f"{path}: no {' or '.join(empty)} rows")
+    return ds
+
+
 def _load_arrays(cfg: RunConfig):
     """The dataset and its split matrices; a split without rows is a format error."""
-    ds = dataset.load_dataset(cfg.dataset)
-    empty = [split for split, count in ds.counts().items() if count == 0]
-    if empty:
-        raise DatasetFormatError(f"{cfg.dataset}: no {' or '.join(empty)} rows")
+    ds = _load_dataset(cfg.dataset, ("train", "val", "test"))
     return ds, arrays_from_dataset(ds)
 
 
@@ -267,6 +275,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _spectrum_mixture(model: mdn.MdnModel, spectrum: np.ndarray, ae_path) -> mdn.MixtureParams:
     """The model's mixture for one spectrum, through the autoencoder at ``ae_path`` if any."""
+    if ae_path and model.input_width == spectrum.shape[-1]:
+        raise ValueError("this checkpoint takes spectra and needs no --ae")
     x = autoencoder.encode(autoencoder.load_ae(ae_path), spectrum) if ae_path else spectrum
     if model.input_width != x.shape[-1]:
         raise ValueError(f"checkpoint expects input width {model.input_width}, got {x.shape[-1]}; "
@@ -276,6 +286,8 @@ def _spectrum_mixture(model: mdn.MdnModel, spectrum: np.ndarray, ae_path) -> mdn
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = mdn.load_mdn(args.checkpoint)
+    if not 1 <= args.top <= model.n_components:
+        raise ValueError(f"--top {args.top} out of range [1, {model.n_components}]")
     spectrum = read_spectrum_file(args.spectrum_file)
     mix = _spectrum_mixture(model, spectrum, args.ae)
     found = mdn.rank_candidates(mix, spectrum, args.top)
@@ -358,7 +370,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _test_record_mixture(args, run_dir: Path, ks: list[int]):
     """K, the K-component mixture for one test record, and that record's true design."""
-    ds = dataset.load_dataset(args.dataset)
+    ds = _load_dataset(args.dataset, ("test",))
     test_idx = ds.indices("test")
     if not 0 <= args.test_index < len(test_idx):
         raise ValueError(f"--test-index {args.test_index} out of range [0, {len(test_idx)})")

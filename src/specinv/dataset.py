@@ -12,6 +12,7 @@ near-identical spectra (a deliberately multi-valued inverse problem).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nncore import DatasetFormatError, write_csv
+from .nncore import DatasetFormatError, read_text, write_csv
 
 PARAM_NAMES = ("p", "w", "h1", "h2", "h3")
 PARAM_LOWER = np.array([305.0, 45.0, 150.0, 25.0, 80.0])
@@ -245,7 +246,7 @@ def build_dataset(designs: list[DesignParams], seed: int) -> LabeledDataset:
 
 
 def generate_dataset(n: int, seed: int) -> LabeledDataset:
-    """End-to-end generation: Sobol designs -> spectra -> shuffled 80/10/10 split."""
+    """End to end: Sobol designs -> spectra -> shuffled 80/10/10 split."""
     return build_dataset(generate_designs(n, seed=seed), seed=seed)
 
 
@@ -277,12 +278,11 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     path = Path(path)
     designs, spectra, tags = [], [], []
     expected_cols = len(_header())
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DatasetFormatError(f"{path}: empty file")
         if header != _header():
             raise DatasetFormatError(
                 f"{path}: line 1: unexpected header (expected {expected_cols} columns "
@@ -304,6 +304,8 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             designs.append(design)
             spectra.append(spectrum)
             tags.append(split)
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        raise DatasetFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not designs:
         raise DatasetFormatError(f"{path}: no records")
     designs, spectra = np.array(designs), np.array(spectra)

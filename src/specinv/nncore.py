@@ -9,6 +9,7 @@ early stopping, and a bit-exact JSON checkpoint format.  All arithmetic is
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -363,12 +364,24 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         )
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; bytes that do not decode raise ``DatasetFormatError``
+    naming the file and the line that holds them."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def read_csv(path: str | Path, columns: dict[str, type]) -> list[dict]:
     """The rows of a ``write_csv`` file as dicts of ``columns``, each cell converted
-    by its column's type.  A missing column, a cell that does not convert, or a
-    file without rows raises ``DatasetFormatError`` naming the file and line."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    by its column's type.  Text that is not UTF-8 or not CSV, a missing column, a
+    cell that does not convert, or a file without rows raises ``DatasetFormatError``
+    naming the file and line."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    try:
         missing = [name for name in columns if name not in (reader.fieldnames or ())]
         if missing:
             raise DatasetFormatError(f"{path}: line 1: missing column {', '.join(missing)}")
@@ -382,6 +395,9 @@ def read_csv(path: str | Path, columns: dict[str, type]) -> list[dict]:
                     raise DatasetFormatError(
                         f"{path}: line {reader.line_num}: cannot read {name} from {row[name]!r}"
                     ) from None
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        # the DictReader's own line_num moves only once a row is read
+        raise DatasetFormatError(f"{path}: line {reader.reader.line_num}: {exc}") from None
     if not rows:
         raise DatasetFormatError(f"{path}: no rows after the header")
     return rows
@@ -439,7 +455,7 @@ def load_checkpoint(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nesting too deep
             raise CheckpointFormatError(f"{path}: not a JSON checkpoint: {exc}") from None
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from specinv import autoencoder, cli, dataset, mdn, transfer
 from specinv.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from specinv.nncore import write_csv
 from util import load_metadata
 
 
@@ -293,11 +294,11 @@ class TestBadInputs:
         mdn.save_mdn(path, mdn.build_mdn(101, 3, np.random.default_rng(0)))
         return path
 
-    def predict(self, checkpoint, values, out):
+    def predict(self, checkpoint, values, out, *flags):
         spectrum = out.parent / "spectrum.txt"
         spectrum.write_text(" ".join(values))
         return run("predict", "--checkpoint", checkpoint, "--spectrum-file", spectrum,
-                   "--top", 1, "--out", out)
+                   "--top", 1, "--out", out, *flags)
 
     @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
     def test_malformed_checkpoint(self, defect, checkpoint, tmp_path, capsys):
@@ -328,6 +329,36 @@ class TestBadInputs:
         assert code == EXIT_IO
         assert err == f"error: {path}: no {split} rows\n"
         assert not out.exists()
+
+    def test_report_on_a_dataset_without_test_rows(self, tiny_dataset, tmp_path, capsys):
+        ds = dataset.load_dataset(tiny_dataset)
+        ds.split_tags[ds.split_tags == "test"] = "train"
+        path = tmp_path / "no_test.csv"
+        dataset.save_dataset(path, ds)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        write_csv(run_dir / "sweep_results.csv", list(transfer.SWEEP_RESULTS_COLUMNS),
+                  [[1, "none", 2, 0.5, 0.5, 0.5]])
+        code = run("report", "--run-dir", run_dir, "--dataset", path)
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: no test rows\n"
+        assert not (run_dir / "report").exists()
+
+    @pytest.mark.parametrize("top", [0, 5])
+    def test_top_outside_one_to_k(self, top, checkpoint, tmp_path, capsys):
+        code = self.predict(checkpoint, ["0.5"] * 101, tmp_path / "pred", "--top", top)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --top {top} out of range [1, 3]\n"
+        assert not (tmp_path / "pred").exists()
+
+    def test_ae_given_to_a_spectrum_model(self, checkpoint, tmp_path, capsys):
+        ae = tmp_path / "ae.json"
+        autoencoder.save_ae(ae, autoencoder.init_ae(np.random.default_rng(0)))
+        code = self.predict(checkpoint, ["0.5"] * 101, tmp_path / "pred", "--ae", ae)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: this checkpoint takes spectra and needs no --ae\n"
+        assert not (tmp_path / "pred").exists()
 
 
 class TestReport:
@@ -456,6 +487,12 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert err == f"error: {cfg}: line 1: {message}\n"
         assert not (tmp_path / "x").exists()
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert run("train", "--config", cfg) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: not UTF-8 text\n"
 
     def test_unknown_strategy_rejected_before_any_work(self, tiny_dataset, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
