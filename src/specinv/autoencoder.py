@@ -73,7 +73,7 @@ def train_ae(
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite reconstruction loss {loss!r}")
         dec_grads, g_latent = nncore.backward(model.decoder, dec_tape, 2.0 * err / err.size)
-        enc_grads, _ = nncore.backward(model.encoder, enc_tape, g_latent)
+        enc_grads, _ = nncore.backward(model.encoder, enc_tape, g_latent, input_gradient=False)
         return loss, enc_grads + dec_grads
 
     epochs, log, best = fit(

@@ -22,7 +22,15 @@ import numpy as np
 
 from . import autoencoder, dataset, mdn, svgplot, transfer
 from .dataset import DatasetFormatError, PARAM_LOWER, PARAM_NAMES, PARAM_UPPER
-from .nncore import CheckpointFormatError, TrainingDivergedError, read_csv, read_text, write_csv
+from .nncore import (
+    CheckpointFormatError,
+    CheckpointWriter,
+    TrainingDivergedError,
+    finite_float,
+    read_csv,
+    read_text,
+    write_csv,
+)
 from .train import (
     ROLE_AE_INIT,
     ROLE_AE_SHUFFLE,
@@ -149,7 +157,7 @@ def _write_log_csv(path: Path, log: list[tuple[float, float]], loss: str) -> Non
     write_csv(path, ["epoch", f"train_{loss}", f"val_{loss}"], rows)
 
 
-_LOG_COLUMNS = {"epoch": int, "train_nll": float, "val_nll": float}
+_LOG_COLUMNS = {"epoch": int, "train_nll": finite_float, "val_nll": finite_float}
 
 
 def read_spectrum_file(path: str | Path) -> np.ndarray:
@@ -233,35 +241,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = resolve_out(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ae_seconds = None
-    if cfg.autoencoder:
-        t0 = time.perf_counter()
-        ae_fit = autoencoder.train_ae(
-            ds.spectra_for("train"),
-            ds.spectra_for("val"),
-            cfg,
-            shuffle_rng=child_rng(cfg.seed, ROLE_AE_SHUFFLE),
-            rng=child_rng(cfg.seed, ROLE_AE_INIT),
-        )
-        ae_seconds = time.perf_counter() - t0
-        autoencoder.save_ae(out_dir / "ae.json", ae_fit.model)
-        _write_log_csv(out_dir / "ae_log.csv", ae_fit.log, "mse")
-        latents = autoencoder.encode(ae_fit.model, ds.spectra)
-        arrays = arrays_from_dataset(ds, x_matrix=latents)
-        # diagnostic only: how close encode(decode(z)) comes to fixing the latents
-        train_latents = latents[ds.indices("train")]
-        roundtrip = autoencoder.encode(
-            ae_fit.model, autoencoder.decode(ae_fit.model, train_latents)
-        )
-        latent_mse = float(np.mean((roundtrip - train_latents) ** 2))
-        print(
-            f"autoencoder: {ae_fit.epochs} epochs, "
-            f"val reconstruction MSE {ae_fit.best_val_loss:.3e}, "
-            f"latent round-trip MSE {latent_mse:.3e}"
-        )
-    result = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg)
-    for entry in result.entries:
-        mdn.save_mdn(out_dir / f"mdn_k{entry.k:02d}.json", entry.model)
-        _write_log_csv(out_dir / f"log_k{entry.k:02d}.csv", entry.log, "nll")
+    # a checkpoint that more training follows is written by a forked child while that
+    # training runs; the last one is written here, with nothing left to overlap
+    with CheckpointWriter() as writer:
+        if cfg.autoencoder:
+            t0 = time.perf_counter()
+            ae_fit = autoencoder.train_ae(
+                ds.spectra_for("train"),
+                ds.spectra_for("val"),
+                cfg,
+                shuffle_rng=child_rng(cfg.seed, ROLE_AE_SHUFFLE),
+                rng=child_rng(cfg.seed, ROLE_AE_INIT),
+            )
+            ae_seconds = time.perf_counter() - t0
+            writer.save(autoencoder.save_ae, out_dir / "ae.json", ae_fit.model)
+            _write_log_csv(out_dir / "ae_log.csv", ae_fit.log, "mse")
+            latents = autoencoder.encode(ae_fit.model, ds.spectra)
+            arrays = arrays_from_dataset(ds, x_matrix=latents)
+            # diagnostic only: how close encode(decode(z)) comes to fixing the latents
+            train_latents = latents[ds.indices("train")]
+            roundtrip = autoencoder.encode(
+                ae_fit.model, autoencoder.decode(ae_fit.model, train_latents)
+            )
+            latent_mse = float(np.mean((roundtrip - train_latents) ** 2))
+            print(
+                f"autoencoder: {ae_fit.epochs} epochs, "
+                f"val reconstruction MSE {ae_fit.best_val_loss:.3e}, "
+                f"latent round-trip MSE {latent_mse:.3e}"
+            )
+
+        def on_trained(entry: transfer.SweepEntry) -> None:
+            path = out_dir / f"mdn_k{entry.k:02d}.json"
+            if entry.k < cfg.k_max:
+                writer.save(mdn.save_mdn, path, entry.model)
+            else:
+                mdn.save_mdn(path, entry.model)
+            _write_log_csv(out_dir / f"log_k{entry.k:02d}.csv", entry.log, "nll")
+
+        result = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg, on_trained=on_trained)
     transfer.write_sweep_results(out_dir / "sweep_results.csv", result)
     transfer.write_sweep_timing(out_dir / "sweep_timing.csv", result, ae_seconds=ae_seconds)
     write_config(out_dir / "config.txt", cfg, "sweep")

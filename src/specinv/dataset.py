@@ -288,7 +288,11 @@ def load_dataset(path: str | Path) -> LabeledDataset:
                 f"{path}: line 1: unexpected header (expected {expected_cols} columns "
                 f"p,w,h1,h2,h3,split,a_000..a_{N_WAVELENGTHS - 1:03d})"
             )
-        for lineno, row in enumerate(reader, start=2):
+        lineno = reader.line_num  # the line the last record read ends on
+        starts = []  # the line each record starts on: a quoted cell may span lines
+        for row in reader:
+            starts.append(lineno + 1)
+            lineno = reader.line_num
             if len(row) != expected_cols:
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: expected {expected_cols} columns, got {len(row)}"
@@ -313,7 +317,7 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     faults[~valid_absorbance(spectra)] = "absorbance values must be finite and within [0, 1]"
     bad = np.flatnonzero(faults != "")
     if bad.size:
-        raise DatasetFormatError(f"{path}: line {bad[0] + 2}: {faults[bad[0]]}")
+        raise DatasetFormatError(f"{path}: line {starts[bad[0]]}: {faults[bad[0]]}")
     return LabeledDataset(
         designs=designs,
         spectra=spectra,

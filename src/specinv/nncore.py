@@ -12,8 +12,10 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -214,14 +216,15 @@ def forward(
 
 
 def backward(
-    model: MlpModel, tape: Tape, output_gradient: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+    model: MlpModel, tape: Tape, output_gradient: np.ndarray, input_gradient: bool = True
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Gradients of a scalar loss w.r.t. every weight and bias, plus the input.
 
     ``output_gradient`` is dLoss/dOutput, one row per sample of the tape's
     batch (any 1/batch factors belong to the caller).  Returns
     (param_grads, input_grad) with param_grads ordered like
-    ``model.parameters()``.
+    ``model.parameters()``; input_grad is None, and its matmul skipped, when
+    ``input_gradient`` is false.
     """
     if len(tape.records) != model.n_layers:
         raise ValueError(
@@ -246,6 +249,8 @@ def backward(
             g = g * _silu_grad(rec.pre_act, rec.sig)
         grad_w[l] = g.T @ rec.inputs
         grad_b[l] = np.sum(g, axis=0)
+        if l == 0 and not input_gradient:
+            return _interleave(grad_w, grad_b), None
         g = g @ model.weights[l]
     return _interleave(grad_w, grad_b), g
 
@@ -375,9 +380,17 @@ def read_text(path: str | Path) -> str:
         raise DatasetFormatError(f"{path}: line {line}: not UTF-8 text") from None
 
 
-def read_csv(path: str | Path, columns: dict[str, type]) -> list[dict]:
+def finite_float(text: str) -> float:
+    """``float`` of a cell that must hold a finite number: nan and inf raise ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]) -> list[dict]:
     """The rows of a ``write_csv`` file as dicts of ``columns``, each cell converted
-    by its column's type.  Text that is not UTF-8 or not CSV, a missing column, a
+    by its column's function.  Text that is not UTF-8 or not CSV, a missing column, a
     cell that does not convert, or a file without rows raises ``DatasetFormatError``
     naming the file and line."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
@@ -449,6 +462,74 @@ def dump_checkpoint_text(payload: dict) -> str:
 
 def save_checkpoint(path: str | Path, payload: dict) -> None:
     Path(path).write_text(dump_checkpoint_text(payload), encoding="utf-8")
+
+
+def _write_and_exit(write: Callable, path: str | Path, obj, pipe: int) -> None:
+    """A writer child's whole life: write, send any failure down ``pipe``, and end
+    without returning, flushing stdio or running exit handlers."""
+    status = 1
+    try:
+        write(path, obj)
+        status = 0
+    except Exception as exc:
+        reason = getattr(exc, "strerror", None) or str(exc) or type(exc).__name__
+        os.write(pipe, f"{path}: {reason}".encode()[:4096])  # fits the pipe: never blocks
+    finally:
+        os._exit(status)
+
+
+class CheckpointWriter:
+    """Checkpoint writes that run in forked children while the caller goes on.
+
+    ``save(write, path, obj)`` calls ``write(path, obj)``, a writer such as
+    ``mdn.save_mdn`` that ends in ``save_checkpoint``, in a child.  The child
+    writes from its copy-on-write snapshot of ``obj``, so the file holds the
+    bytes an in-process write would, whatever the parent changes afterwards.  A
+    child makes no BLAS call, so BLAS threads idle in the parent cannot hold a
+    lock it needs.  Leaving the ``with`` block waits for every child; if one
+    failed and no exception is already leaving the block, it raises ``OSError``
+    naming that child's file.  Without ``os.fork`` each write runs in-process.
+    """
+
+    def __init__(self):
+        self._children: list[tuple[int, int, Path]] = []  # pid, read end of its pipe, file
+
+    def save(self, write: Callable, path: str | Path, obj) -> None:
+        if not hasattr(os, "fork"):
+            write(path, obj)
+            return
+        import signal  # here, not at the top: predict never forks
+
+        read_end, write_end = os.pipe()
+        # the child keeps Ctrl-C blocked, so no KeyboardInterrupt carries it out of ``save``
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _write_and_exit(write, path, obj, write_end)
+        except OSError as exc:  # no process to spare
+            os.close(read_end)
+            raise OSError(f"{path}: cannot start a writer process: {exc.strerror}") from None
+        finally:  # in the parent only: the child has ended
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(write_end)
+        self._children.append((pid, read_end, Path(path)))
+
+    def __enter__(self) -> "CheckpointWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        failures = []
+        for pid, read_end, path in self._children:
+            _, status = os.waitpid(pid, 0)
+            with os.fdopen(read_end, "rb") as pipe:
+                reason = pipe.read().decode("utf-8", errors="replace")
+            if status != 0:
+                code = os.waitstatus_to_exitcode(status)
+                failures.append(reason or f"{path}: checkpoint writer ended with status {code}")
+        self._children.clear()
+        if failures and exc_type is None:
+            raise OSError(failures[0])
 
 
 def load_checkpoint(path: str | Path) -> dict:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import mdn
 from .mdn import MdnHead, MdnModel
-from .nncore import TrainingDivergedError, write_csv
+from .nncore import TrainingDivergedError, finite_float, write_csv
 from .train import (
     ROLE_DONOR,
     ROLE_DROPOUT,
@@ -130,12 +131,14 @@ def sweep(
     config: TrainConfig,
     trunk_widths: list[int] | None = None,
     n_targets: int = mdn.N_DESIGN_PARAMS,
+    on_trained: Callable[[SweepEntry], None] | None = None,
 ) -> SweepResult:
     """Train models for K = 1..k_max, warm-starting each K from K-1 under tl1/tl2.
 
     K=1 always trains from scratch.  The fresh-init baseline re-seeds per K
     (base seed + K) so its runs are independent; transfer runs are sequential
-    by construction.
+    by construction.  ``on_trained`` gets each K's entry as soon as its model is
+    final, before the next K trains.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -166,19 +169,20 @@ def sweep(
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"K={k}: {exc}") from exc
         seconds = time.perf_counter() - t0
-        result.entries.append(
-            SweepEntry(
-                k=k,
-                strategy=strategy,
-                epochs=fit.epochs,
-                seconds=seconds,
-                train_nll=mdn.batch_nll(model, data.train_x, data.train_y),
-                val_nll=fit.best_val_loss,
-                test_nll=mdn.batch_nll(model, data.test_x, data.test_y),
-                model=model,
-                log=fit.log,
-            )
+        entry = SweepEntry(
+            k=k,
+            strategy=strategy,
+            epochs=fit.epochs,
+            seconds=seconds,
+            train_nll=mdn.batch_nll(model, data.train_x, data.train_y),
+            val_nll=fit.best_val_loss,
+            test_nll=mdn.batch_nll(model, data.test_x, data.test_y),
+            model=model,
+            log=fit.log,
         )
+        result.entries.append(entry)
+        if on_trained is not None:
+            on_trained(entry)
         prev_model = model
     return result
 
@@ -191,7 +195,7 @@ def sweep(
 
 SWEEP_RESULTS_COLUMNS = {
     "K": int, "strategy": str, "epochs": int,
-    "train_nll": float, "val_nll": float, "test_nll": float,
+    "train_nll": finite_float, "val_nll": finite_float, "test_nll": finite_float,
 }
 
 

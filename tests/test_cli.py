@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from specinv import autoencoder, cli, dataset, mdn, transfer
 from specinv.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from specinv.nncore import write_csv
-from util import load_metadata
+from util import assert_no_child_left, load_metadata
 
 
 def run(*argv) -> int:
@@ -162,6 +162,88 @@ class TestSweep:
             "--batch-size", 16, "--learning-rate", "1e12",
         )
         assert code == EXIT_DIVERGED
+
+
+def run_outputs(out: Path) -> dict:
+    """Every file of a run but the wall-clock one, by name."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "sweep_timing.csv"}
+
+
+class TestSweepWrites:
+    """Checkpoints that more training follows are written by forked children."""
+
+    SWEEP = ["sweep", "--k-max", 3, "--strategy", "tl1", "--autoencoder", "--seed", 4,
+             "--max-epochs", 2, "--batch-size", 16, "--out", "run"]
+
+    def test_forked_writes_equal_in_process_writes(self, tiny_dataset, tmp_path):
+        """Artifacts and stdout, redirected to a file as a duplicated buffer would
+        show, are byte-equal with and without ``os.fork``."""
+        runs = {}
+        # stdout to a file is block-buffered, unless PYTHONUNBUFFERED says otherwise
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        for name, prelude in [("forked", ""), ("in_process", "del os.fork; ")]:
+            cwd = tmp_path / name
+            cwd.mkdir()
+            probe = (f"import os, sys; {prelude}"
+                     "from specinv.cli import main; sys.exit(main(sys.argv[1:]))")
+            argv = [sys.executable, "-c", probe, *map(str, self.SWEEP), "--dataset", tiny_dataset]
+            with open(cwd / "stdout.txt", "wb") as stdout:
+                done = subprocess.run(argv, cwd=cwd, stdout=stdout,
+                                      stderr=subprocess.PIPE, timeout=300, env=env)
+            assert done.returncode == EXIT_OK, done.stderr
+            assert done.stderr == b""
+            runs[name] = run_outputs(cwd / "run"), (cwd / "stdout.txt").read_bytes()
+        assert sorted(runs["forked"][0]) == sorted(
+            ["ae.json", "ae_log.csv", "config.txt", "sweep_results.csv"]
+            + [f"{kind}_k{k:02d}.{ext}" for k in (1, 2, 3) for kind, ext in
+               [("mdn", "json"), ("log", "csv")]]
+        )
+        assert runs["forked"] == runs["in_process"]
+        assert runs["forked"][1].count(b"\n") == 4  # autoencoder, then K=1..3
+
+    @pytest.mark.parametrize("name", ["ae.json", "mdn_k01.json"])
+    def test_failed_child_write_exits_3(self, name, tiny_dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run" / name).mkdir(parents=True)
+        code = run(*self.SWEEP, "--dataset", tiny_dataset)
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err == f"error: {Path('run') / name}: Is a directory\n"
+        assert_no_child_left()
+        # the failure is found after training, before the results file is written
+        assert (tmp_path / "run" / "mdn_k03.json").exists()
+        assert not (tmp_path / "run" / "sweep_results.csv").exists()
+
+    @pytest.mark.parametrize("error,code", [
+        (cli.TrainingDivergedError("loss nan"), EXIT_DIVERGED), (KeyboardInterrupt(), None),
+    ], ids=["divergence", "ctrl_c"])
+    def test_no_child_left_when_training_stops(self, error, code, tiny_dataset, tmp_path,
+                                               monkeypatch):
+        """K=2 stops while the children writing ae.json and mdn_k01.json may still run."""
+        trained, train_mdn_of_k1 = [], transfer.train_mdn
+
+        def train_mdn(*args, **kwargs):
+            if trained:
+                raise error
+            trained.append(train_mdn_of_k1(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(transfer, "train_mdn", train_mdn)
+        monkeypatch.chdir(tmp_path)
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                run(*self.SWEEP, "--dataset", tiny_dataset)
+        else:
+            assert run(*self.SWEEP, "--dataset", tiny_dataset) == code
+        assert_no_child_left()
+        assert mdn.load_mdn(tmp_path / "run" / "mdn_k01.json").n_components == 1
+        autoencoder.load_ae(tmp_path / "run" / "ae.json")
+
+    def test_no_child_left_after_success(self, tiny_dataset, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(*self.SWEEP, "--dataset", tiny_dataset) == EXIT_OK
+        assert_no_child_left()
 
 
 class TestPredict:
@@ -422,8 +504,13 @@ class TestReport:
          lambda lines: lines[:1] + ["1,abc," + lines[1].split(",")[2]] + lines[2:],
          "line 2: cannot read train_nll from 'abc'"),
         ("sweep_results.csv", lambda lines: lines[:1], "no rows after the header"),
+        ("sweep_results.csv", lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",nan"],
+         "line 3: cannot read test_nll from 'nan'"),
+        ("log_k01.csv",
+         lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",-inf"] + lines[2:],
+         "line 2: cannot read val_nll from '-inf'"),
     ], ids=["results_without_K", "log_with_mse_columns", "non_numeric_train_nll",
-            "header_only_results"])
+            "header_only_results", "nan_test_nll", "infinite_val_nll"])
     def test_malformed_run_file(self, name, edit, where, tiny_dataset, finished_run, capsys):
         path = finished_run / name
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
@@ -621,11 +708,13 @@ def test_cli_import_leaves_sobol_sampling_unloaded():
 
 
 def test_cli_import_loads_no_scipy():
-    """Only gen-data's Sobol sampling needs scipy; every other command runs without it."""
+    """Only gen-data's Sobol sampling needs scipy; every other command runs without it.
+    Sweep's checkpoint writers are plain forks, so no process-pool module loads either."""
     probe = (
         "import sys\n"
         "import specinv.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

@@ -246,6 +246,26 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="line 7"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("record,cells,message", [
+        (3, {8: "oops"}, "line 6: could not convert string to float: 'oops'"),
+        (3, {0: "310.0", 1: "150.0"}, "line 6: p - w = 160 violates"),
+        (0, {10: "1.5"}, "line 2: absorbance values must be finite and within [0, 1]"),
+    ], ids=["bad_cell_after", "design_fault_after", "fault_of_the_two_line_record"])
+    def test_lines_counted_past_a_cell_that_spans_two_lines(self, record, cells, message,
+                                                            tmp_path):
+        """The first record's p cell is written as "305\\n": that record takes lines 2-3."""
+        path = tmp_path / "data.csv"
+        save_dataset(path, build_dataset(generate_designs(12, seed=1), seed=1))
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        rows[0][0] = f'"{rows[0][0]}\n"'
+        for column, value in cells.items():
+            rows[record][column] = value
+        path.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+        with pytest.raises(DatasetFormatError) as exc:
+            load_dataset(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
     def test_non_numeric_value_reports_line(self, tmp_path):
         ds = build_dataset(generate_designs(12, seed=1), seed=1)
         path = tmp_path / "data.csv"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from specinv import cli, dataset, mdn, nncore, transfer
+from specinv import autoencoder, cli, dataset, mdn, nncore, transfer
 from specinv.cli import EXIT_IO, main
 from specinv.nncore import CheckpointFormatError, DatasetFormatError
 
@@ -38,12 +38,13 @@ LOADERS = {
     "sweep_results": (lambda path: nncore.read_csv(path, transfer.SWEEP_RESULTS_COLUMNS),
                       DatasetFormatError),
     "checkpoint": (mdn.load_mdn, CheckpointFormatError),
+    "autoencoder": (autoencoder.load_ae, CheckpointFormatError),
 }
 
 
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
-    """One valid file per loader, and a small model that takes spectra."""
+    """One valid file per loader; the checkpoints hold small models that take spectra."""
     root = tmp_path_factory.mktemp("valid")
     ds = dataset.generate_dataset(10, seed=1)
     dataset.save_dataset(root / "dataset", ds)
@@ -52,6 +53,10 @@ def valid(tmp_path_factory):
                      [[1, "tl1", 3, 0.25, 0.5, 0.75], [2, "tl1", 4, 0.125, 0.375, 0.5]])
     model = mdn.build_mdn(101, 3, np.random.default_rng(0), trunk_widths=[101, 4, 3])
     mdn.save_mdn(root / "checkpoint", model)
+    rng = np.random.default_rng(1)
+    decoder = nncore.init_mlp([3, 4, 101], rng, activations=["silu", "identity"])
+    autoencoder.save_ae(root / "autoencoder",
+                        autoencoder.AeModel(nncore.init_mlp([101, 4, 3], rng), decoder))
     return root
 
 

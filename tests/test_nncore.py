@@ -1,6 +1,8 @@
 """Engine-level tests: activations, forward/backward, Adam, early stopping, checkpoints."""
 
 import math
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ from specinv.nncore import (
     silu,
 )
 from specinv.train import TrainConfig
+from util import assert_no_child_left
 
 
 def finite_difference_grads(loss_fn, params, h=1e-5):
@@ -231,6 +234,17 @@ class TestBackward:
         numeric = finite_difference_grads(loss, model.parameters())
         assert max_rel_error(grads, numeric) <= 1e-4
 
+    def test_skipped_input_gradient_keeps_parameter_gradients(self):
+        rng = np.random.default_rng(3)
+        model = init_mlp([3, 6, 5, 2], rng, dropout_after={1})
+        _, tape = forward(model, rng.normal(size=(8, 3)), train=True, dropout_rate=0.3, rng=rng)
+        g_out = rng.normal(size=(8, 2))
+        grads, gin = backward(model, tape, g_out)
+        skipped, none = backward(model, tape, g_out, input_gradient=False)
+        assert gin.shape == (8, 3) and none is None
+        for a, b in zip(grads, skipped):
+            np.testing.assert_array_equal(a, b)
+
     def test_vector_gradient_rejected(self):
         """A vector forward records a batch of one, so its gradient is one row."""
         rng = np.random.default_rng(0)
@@ -423,6 +437,70 @@ class TestCheckpoint:
         row = np.array(row, dtype=np.float64)
         expected = "[" + ", ".join(map(nncore.fmt, row.tolist())) + "]"
         assert nncore._float_array_json(row) == expected
+
+
+HALF = {"w": np.array([0.5])}
+HALF_TEXT = '{\n  "w": [0.5]\n}\n'
+
+
+class TestCheckpointWriter:
+    @staticmethod
+    def save(writer, path, payload=HALF):
+        writer.save(nncore.save_checkpoint, path, payload)
+
+    def test_child_writes_the_bytes_of_the_moment_it_starts(self, tmp_path):
+        payload = {"w": np.array([[0.1, 0.2], [0.3, 0.4]]), "n": 2}
+        expected = nncore.dump_checkpoint_text(payload)
+        with nncore.CheckpointWriter() as writer:
+            self.save(writer, tmp_path / "a.json", payload)
+            payload["w"] += 1.0  # the parent goes on changing the weights
+        assert (tmp_path / "a.json").read_text(encoding="utf-8") == expected
+        assert_no_child_left()
+
+    def test_failed_write_raises_on_leaving_naming_the_file(self, tmp_path):
+        (tmp_path / "dir.json").mkdir()
+        with pytest.raises(OSError) as exc:
+            with nncore.CheckpointWriter() as writer:
+                self.save(writer, tmp_path / "dir.json")
+                self.save(writer, tmp_path / "ok.json")
+        assert str(exc.value) == f"{tmp_path / 'dir.json'}: Is a directory"
+        assert (tmp_path / "ok.json").read_text() == HALF_TEXT
+        assert_no_child_left()
+
+    def test_failed_write_leaves_a_leaving_exception_alone(self, tmp_path):
+        (tmp_path / "dir.json").mkdir()
+        with pytest.raises(TrainingDivergedError):
+            with nncore.CheckpointWriter() as writer:
+                self.save(writer, tmp_path / "dir.json")
+                raise TrainingDivergedError("next model")
+        assert_no_child_left()
+
+    def test_non_finite_weights_fail_in_the_child(self, tmp_path):
+        with pytest.raises(OSError, match="non-finite value nan cannot be checkpointed"):
+            with nncore.CheckpointWriter() as writer:
+                self.save(writer, tmp_path / "a.json", {"w": np.array([np.nan])})
+        assert not (tmp_path / "a.json").exists()
+
+    def test_failed_fork_names_the_file_and_restores_ctrl_c(self, tmp_path, monkeypatch):
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError) as exc:
+            with nncore.CheckpointWriter() as writer:
+                self.save(writer, tmp_path / "a.json")
+        assert str(exc.value) == (f"{tmp_path / 'a.json'}: cannot start a writer process: "
+                                  "Resource temporarily unavailable")
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+    def test_without_fork_the_write_is_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        (tmp_path / "dir.json").mkdir()
+        with nncore.CheckpointWriter() as writer:
+            self.save(writer, tmp_path / "a.json")
+            assert (tmp_path / "a.json").read_text() == HALF_TEXT
+            with pytest.raises(IsADirectoryError):  # at once, from the caller's own write
+                self.save(writer, tmp_path / "dir.json")
 
 
 class TestDeterminism:

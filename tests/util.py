@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 
 def finite_difference_grads(loss_fn, params, h=1e-5):
@@ -77,3 +79,9 @@ def load_metadata(path):
     path = Path(path)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     return json.loads(meta_path.read_text(encoding="utf-8"))
+
+
+def assert_no_child_left():
+    """Every child process of this one has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
