@@ -14,8 +14,6 @@ from .dataset import (
     generate_dataset,
     load_dataset,
     save_dataset,
-    surrogate_spectrum,
-    witness_pair,
 )
 from .mdn import (
     LOSS_CEILING,
@@ -25,12 +23,11 @@ from .mdn import (
     build_mdn,
     load_mdn,
     mixture_for,
-    nll_loss,
     predict_modes,
     save_mdn,
     weighted_marginal_pdf,
 )
-from .nncore import AdamState, EarlyStopping, MlpModel, TrainingDivergedError, silu
+from .nncore import AdamState, EarlyStopping, MlpModel, TrainingDivergedError
 from .train import TrainConfig, arrays_from_dataset, train_mdn
 from .transfer import SweepResult, grow, sweep
 
@@ -60,16 +57,12 @@ __all__ = [
     "load_dataset",
     "load_mdn",
     "mixture_for",
-    "nll_loss",
     "predict_modes",
     "save_ae",
     "save_dataset",
     "save_mdn",
-    "silu",
-    "surrogate_spectrum",
     "sweep",
     "train_ae",
     "train_mdn",
     "weighted_marginal_pdf",
-    "witness_pair",
 ]

@@ -17,7 +17,6 @@ from .train import TrainConfig, TrainResult, fit
 
 ENCODER_WIDTHS = [101, 128, 256, 512, 256, 10]
 DECODER_WIDTHS = [10, 256, 512, 256, 128, 101]
-LATENT_WIDTH = 10
 
 
 @dataclass

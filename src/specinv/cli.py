@@ -208,6 +208,8 @@ def _load_dataset(path: str, splits: tuple[str, ...]) -> dataset.LabeledDataset:
 
 def _load_arrays(cfg: RunConfig):
     """The dataset and its split matrices; a split without rows is a format error."""
+    if not cfg.dataset:  # "" would open the working directory
+        raise ValueError("--dataset is required (or a 'dataset =' line in --config)")
     ds = _load_dataset(cfg.dataset, ("train", "val", "test"))
     return ds, arrays_from_dataset(ds)
 
@@ -500,6 +502,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (DatasetFormatError, CheckpointFormatError, OSError) as exc:
+        # FILE: reason, the form every other file error takes
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

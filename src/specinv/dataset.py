@@ -161,29 +161,6 @@ def valid_absorbance(spectra: np.ndarray) -> np.ndarray:
     return ((spectra >= 0.0) & (spectra <= 1.0)).all(axis=-1)
 
 
-def surrogate_spectrum(d: DesignParams) -> np.ndarray:
-    """Absorbance spectrum of a single design on the fixed wavelength grid."""
-    return surrogate_spectra(d.to_array()[None, :])[0]
-
-
-def witness_pair() -> tuple[DesignParams, DesignParams]:
-    """Two far-apart designs with near-identical spectra.
-
-    The pair differs only in the normalized fourth parameter, placed
-    symmetrically about 0.25 so the second resonance center is identical; the
-    remaining coordinates stack all three resonances at that center with enough
-    amplitude that clipping hides the residual amplitude difference.
-    """
-    u4_a, u4_b = 0.148, 0.5 - 0.148
-    c2 = 550.0 + 90.0 * math.sin(2.0 * math.pi * u4_a)
-    u1 = (c2 - 430.0) / 240.0
-    u2 = 0.95
-    u3 = ((c2 - 400.0) / 300.0 - u2) % 1.0
-    u5 = 1.0
-    mk = lambda u4: DesignParams.from_array(denormalize_designs(np.array([u1, u2, u3, u4, u5])))
-    return mk(u4_a), mk(u4_b)
-
-
 # --- splits and the labeled dataset ------------------------------------------------
 
 SPLIT_TRAIN = "train"

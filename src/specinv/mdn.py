@@ -29,7 +29,6 @@ _LOG_DENSITY_EPS = math.log(DENSITY_EPS)
 LOSS_CEILING = -_LOG_DENSITY_EPS  # 11.512925464970229
 
 N_DESIGN_PARAMS = 5
-FEATURE_WIDTH = 150
 SPECTRUM_TRUNK_WIDTHS = [101, 150, 240, 300, 300, 150]
 LATENT_TRUNK_WIDTHS = [10, 100, 200, 300, 300, 150]
 
@@ -204,34 +203,12 @@ def _log_component_pdfs(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.
     return (-0.5 * z * z - np.log(s) - _HALF_LOG_2PI).sum(axis=-1)
 
 
-def component_pdf(y: np.ndarray, mu_k: np.ndarray, sigma_k: np.ndarray) -> float:
-    """Diagonal Gaussian density of y under one component (no epsilon shifts)."""
-    y = np.asarray(y, dtype=np.float64)
-    mu_k = np.asarray(mu_k, dtype=np.float64)
-    sigma_k = np.asarray(sigma_k, dtype=np.float64)
-    if np.any(sigma_k <= 0.0):
-        raise ValueError(f"standard deviations must be positive, got {sigma_k}")
-    z = (y - mu_k) / sigma_k
-    log_pdf = np.sum(-0.5 * z * z - np.log(sigma_k) - _HALF_LOG_2PI)
-    return float(np.exp(log_pdf))
-
-
 def _per_sample_nll(log_pi: np.ndarray, log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and the mixture log density, both (B,)."""
     log_mix = _logsumexp_rows(log_pi + log_phi)
     with np.errstate(invalid="ignore"):  # NaN here is reported as divergence by callers
         losses = -np.logaddexp(log_mix, _LOG_DENSITY_EPS)
     return losses, log_mix
-
-
-def nll_loss(mix: MixtureParams, y: np.ndarray) -> float:
-    """Stabilized mixture negative log likelihood of a single target vector."""
-    y = np.asarray(y, dtype=np.float64)
-    with np.errstate(divide="ignore"):  # pi underflowing to 0 gives log 0 = -inf
-        log_pi = np.log(mix.pi)
-    log_phi = _log_component_pdfs(y[None, :], mix.mu[None, :, :], mix.sigma[None, :, :])
-    losses, _ = _per_sample_nll(log_pi[None, :], log_phi)
-    return float(losses[0])
 
 
 def _batch_losses(model: MdnModel, x: np.ndarray, y: np.ndarray, train: bool = False,

@@ -50,12 +50,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, t, out=t)
 
 
-def silu(v: np.ndarray) -> np.ndarray:
-    """Elementwise x * sigmoid(x)."""
-    v = np.asarray(v, dtype=np.float64)
-    return v * sigmoid(v)
-
-
 def _silu_grad(z: np.ndarray, sig: np.ndarray) -> np.ndarray:
     # d/dz [z * sigmoid(z)] = sigmoid(z) * (1 + z * (1 - sigmoid(z)))
     t = np.subtract(1.0, sig)

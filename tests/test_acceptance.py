@@ -14,8 +14,10 @@ from util import (
     finite_difference_grads,
     max_rel_error,
     mean_baseline_mse,
+    nll_of,
     random_mixture,
     scalar_mixture_nll,
+    witness_pair,
 )
 
 from conftest import ACCEPT_SEED, AE_VAL_MSE_THRESHOLD
@@ -64,7 +66,7 @@ def test_criterion_2_loss_oracle():
     for _ in range(1000):
         mix = random_mixture(rng)
         y = rng.normal(scale=3.0, size=mix.n_targets)
-        got = mdn.nll_loss(mix, y)
+        got = nll_of(mix, y)
         want = scalar_mixture_nll(mix.pi, mix.mu, mix.sigma, y)
         worst = max(worst, abs(got - want))
         ceiling_ok &= got <= LOSS_CEILING + 1e-12
@@ -209,8 +211,8 @@ def test_criterion_5_fails_on_locked_clones(desk_dataset):
 
 def test_criterion_6_multi_valued_recovery(tl1_sweep):
     """A trained K>=4 model hedges across both branches of the sin symmetry."""
-    witness_a, _ = dataset.witness_pair()
-    spectrum = dataset.surrogate_spectrum(witness_a)
+    witness_a, _ = witness_pair()
+    spectrum = dataset.surrogate_spectra(witness_a.to_array()[None])[0]
     found = None
     for k in range(4, 11):
         mix = mdn.mixture_for(tl1_sweep.result.entry(k).model, spectrum)

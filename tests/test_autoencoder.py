@@ -72,7 +72,8 @@ class TestEncodeDecode:
 class TestTraining:
     def test_identical_spectra_reach_numerical_floor(self):
         """A constant target is memorized to (near) machine precision."""
-        spectrum = dataset.surrogate_spectrum(dataset.generate_designs(1, seed=0)[0])
+        design = dataset.generate_designs(1, seed=0)[0]
+        spectrum = dataset.surrogate_spectra(design.to_array()[None])[0]
         spectra = np.tile(spectrum, (8, 1))
         cfg = TrainConfig(batch_size=8, learning_rate=1e-2, max_epochs=800,
                           patience=800, min_delta=0.0, seed=0)

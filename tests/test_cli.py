@@ -202,7 +202,8 @@ class TestSweepWrites:
         assert runs["forked"] == runs["in_process"]
         assert runs["forked"][1].count(b"\n") == 4  # autoencoder, then K=1..3
 
-    @pytest.mark.parametrize("name", ["ae.json", "mdn_k01.json"])
+    # the last checkpoint is written in-process: its failure reads as a child's does
+    @pytest.mark.parametrize("name", ["ae.json", "mdn_k01.json", "mdn_k03.json"])
     def test_failed_child_write_exits_3(self, name, tiny_dataset, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "run" / name).mkdir(parents=True)
@@ -682,6 +683,17 @@ class TestExitCodes:
             "--out", tmp_path / "r",
         )
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_no_dataset_is_usage_error(self, command, tmp_path, capsys):
+        """Neither --dataset nor a 'dataset =' config line: "" must not open as '.'."""
+        config = tmp_path / "run.txt"
+        config.write_text("seed = 3\n", encoding="utf-8")
+        code = run(command, "--config", config, "--out", tmp_path / "r")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.count("\n") == 1 and "--dataset" in err
+        assert not (tmp_path / "r").exists()
 
     def test_bad_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -16,14 +16,20 @@ from specinv.mdn import (
     batch_nll,
     batch_nll_and_grads,
     build_mdn,
-    component_pdf,
     init_mdn_head,
     mixture_for,
-    nll_loss,
     predict_modes,
     weighted_marginal_pdf,
 )
-from util import finite_difference_grads, max_rel_error, random_mixture, scalar_mixture_nll
+from util import (
+    component_pdf,
+    finite_difference_grads,
+    max_rel_error,
+    nll_of,
+    random_mixture,
+    scalar_mixture_nll,
+    witness_pair,
+)
 
 
 def zero_head(k, n, f):
@@ -109,7 +115,7 @@ class TestNllLoss:
         mix = MixtureParams(pi=np.array([1.0]), mu=np.array([[0.0]]), sigma=np.array([[1.0]]))
         want = -math.log(1.0 / (math.sqrt(2.0 * math.pi) * (1.0 + 1e-5)) + 1e-5)
         assert want == pytest.approx(0.9189234669354241, abs=1e-12)
-        assert nll_loss(mix, np.array([0.0])) == pytest.approx(want, abs=1e-12)
+        assert nll_of(mix, np.array([0.0])) == pytest.approx(want, abs=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
@@ -117,13 +123,13 @@ class TestNllLoss:
             mix = random_mixture(rng)
             y = rng.normal(scale=2.0, size=mix.n_targets)
             want = scalar_mixture_nll(mix.pi, mix.mu, mix.sigma, y)
-            assert nll_loss(mix, y) == pytest.approx(want, abs=1e-10)
+            assert nll_of(mix, y) == pytest.approx(want, abs=1e-10)
 
     def test_far_target_hits_floor(self):
         mix = MixtureParams(
             pi=np.array([0.5, 0.5]), mu=np.zeros((2, 3)), sigma=np.ones((2, 3))
         )
-        loss = nll_loss(mix, np.full(3, 1e8))
+        loss = nll_of(mix, np.full(3, 1e8))
         assert loss == pytest.approx(LOSS_CEILING, abs=1e-6)
 
     def test_never_exceeds_ceiling(self):
@@ -131,7 +137,7 @@ class TestNllLoss:
         for _ in range(300):
             mix = random_mixture(rng)
             y = rng.normal(scale=50.0, size=mix.n_targets)
-            assert nll_loss(mix, y) <= LOSS_CEILING + 1e-12
+            assert nll_of(mix, y) <= LOSS_CEILING + 1e-12
 
     def test_bounded_by_each_component_term(self):
         """loss <= -log(pi_j phi_j + 1e-5) for every j: dropping terms only grows it."""
@@ -139,7 +145,7 @@ class TestNllLoss:
         for _ in range(100):
             mix = random_mixture(rng)
             y = rng.normal(size=mix.n_targets)
-            loss = nll_loss(mix, y)
+            loss = nll_of(mix, y)
             for j in range(mix.n_components):
                 phi_j = component_pdf(y, mix.mu[j], mix.sigma[j] + mdn.SIGMA_EPS)
                 assert loss <= -math.log(mix.pi[j] * phi_j + 1e-5) + 1e-12
@@ -149,10 +155,10 @@ class TestNllLoss:
         for _ in range(50):
             mix = random_mixture(rng, k=6)
             y = rng.normal(size=5)
-            base = nll_loss(mix, y)
+            base = nll_of(mix, y)
             perm = rng.permutation(6)
             shuffled = MixtureParams(pi=mix.pi[perm], mu=mix.mu[perm], sigma=mix.sigma[perm])
-            assert nll_loss(shuffled, y) == pytest.approx(base, abs=1e-12)
+            assert nll_of(shuffled, y) == pytest.approx(base, abs=1e-12)
 
     def test_k1_closed_form(self):
         """With one component the loss is the shifted diagonal-Gaussian NLL."""
@@ -166,7 +172,7 @@ class TestNllLoss:
             log_phi = float(np.sum(-0.5 * ((y - mu[0]) / s) ** 2 - np.log(s))) \
                 - 2.5 * math.log(2.0 * math.pi)
             want = -math.log(math.exp(log_phi) + 1e-5)
-            assert nll_loss(mix, y) == pytest.approx(want, rel=1e-12)
+            assert nll_of(mix, y) == pytest.approx(want, rel=1e-12)
 
 
 class TestBatchLoss:
@@ -180,7 +186,7 @@ class TestBatchLoss:
         y = rng.normal(size=2)
         mix = mixture_for(model, x)
         assert batch_nll(model, x[None, :], y[None, :]) == pytest.approx(
-            nll_loss(mix, y), abs=1e-12
+            nll_of(mix, y), abs=1e-12
         )
 
     def test_duplicate_sample_keeps_mean(self):
@@ -295,7 +301,7 @@ class TestRankCandidates:
                          [0.5, 0.5, 0.5, 0.5, 2.0]]),
             sigma=np.ones((3, 5)),
         )
-        spectrum = dataset.surrogate_spectrum(dataset.witness_pair()[0])
+        spectrum = dataset.surrogate_spectra(witness_pair()[0].to_array()[None])[0]
         found = mdn.rank_candidates(mix, spectrum, 2)
         np.testing.assert_array_equal(found.pi, [0.5, 0.3])
         np.testing.assert_array_equal(

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from specinv import mdn, nncore, transfer
-from specinv.mdn import build_mdn, mixture_for, nll_loss
+from specinv.mdn import build_mdn, mixture_for
 from specinv.nncore import TrainingDivergedError
 from specinv.train import SupervisedArrays, TrainConfig, train_mdn
 from specinv.transfer import choose_donor, grow, sweep
+from util import component_pdf, nll_of
 
 
 def toy_model(k, seed=0):
@@ -131,13 +132,13 @@ class TestGrownDensity:
             y = rng.random(2)
             mp = mixture_for(model, x)
             phis = [
-                mdn.component_pdf(y, mp.mu[j], mp.sigma[j] + mdn.SIGMA_EPS) for j in range(3)
+                component_pdf(y, mp.mu[j], mp.sigma[j] + mdn.SIGMA_EPS) for j in range(3)
             ]
             duplicated = phis + [phis[0]]  # tl2 donor is component 1
             want = sum(duplicated) / 4.0
             mc = mixture_for(child, x)
             got = sum(
-                mc.pi[j] * mdn.component_pdf(y, mc.mu[j], mc.sigma[j] + mdn.SIGMA_EPS)
+                mc.pi[j] * component_pdf(y, mc.mu[j], mc.sigma[j] + mdn.SIGMA_EPS)
                 for j in range(4)
             )
             assert got == pytest.approx(want, rel=1e-12)
@@ -150,8 +151,8 @@ class TestGrownDensity:
         for _ in range(50):
             x = rng.random(6)
             y = rng.random(2)
-            lp = nll_loss(mixture_for(model, x), y)
-            lc = nll_loss(mixture_for(child, x), y)
+            lp = nll_of(mixture_for(model, x), y)
+            lc = nll_of(mixture_for(child, x), y)
             assert lc == pytest.approx(lp, abs=1e-12)
 
     def test_uniform_parent_growth_loss_bound(self):
@@ -165,8 +166,8 @@ class TestGrownDensity:
         for _ in range(100):
             x = rng.random(6)
             y = rng.random(2)
-            lp = nll_loss(mixture_for(model, x), y)
-            lc = nll_loss(mixture_for(child, x), y)
+            lp = nll_of(mixture_for(model, x), y)
+            lc = nll_of(mixture_for(child, x), y)
             assert abs(lc - lp) <= bound
 
 

@@ -68,6 +68,54 @@ def random_mixture(rng, k=None, n=5, mu_scale=2.0):
     return MixtureParams(pi=pi, mu=mu, sigma=sigma)
 
 
+def nll_of(mix, y):
+    """The library's stabilized loss of one target vector under one mixture: criterion 2's
+    wrapper around the very functions that ``mdn.batch_nll`` and training evaluate."""
+    from specinv import mdn
+
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(divide="ignore"):  # pi underflowing to 0 gives log 0 = -inf
+        log_pi = np.log(mix.pi)
+    log_phi = mdn._log_component_pdfs(y[None, :], mix.mu[None, :, :], mix.sigma[None, :, :])
+    losses, _ = mdn._per_sample_nll(log_pi[None, :], log_phi)
+    return float(losses[0])
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def component_pdf(y, mu_k, sigma_k):
+    """Diagonal Gaussian density of y under one component (no epsilon shifts)."""
+    y = np.asarray(y, dtype=np.float64)
+    mu_k = np.asarray(mu_k, dtype=np.float64)
+    sigma_k = np.asarray(sigma_k, dtype=np.float64)
+    if np.any(sigma_k <= 0.0):
+        raise ValueError(f"standard deviations must be positive, got {sigma_k}")
+    z = (y - mu_k) / sigma_k
+    log_pdf = np.sum(-0.5 * z * z - np.log(sigma_k) - _HALF_LOG_2PI)
+    return float(np.exp(log_pdf))
+
+
+def witness_pair():
+    """Two far-apart designs with near-identical spectra.
+
+    The pair differs only in the normalized fourth parameter, placed
+    symmetrically about 0.25 so the second resonance center is identical; the
+    remaining coordinates stack all three resonances at that center with enough
+    amplitude that clipping hides the residual amplitude difference.
+    """
+    from specinv.dataset import DesignParams, denormalize_designs
+
+    u4_a, u4_b = 0.148, 0.5 - 0.148
+    c2 = 550.0 + 90.0 * math.sin(2.0 * math.pi * u4_a)
+    u1 = (c2 - 430.0) / 240.0
+    u2 = 0.95
+    u3 = ((c2 - 400.0) / 300.0 - u2) % 1.0
+    u5 = 1.0
+    mk = lambda u4: DesignParams.from_array(denormalize_designs(np.array([u1, u2, u3, u4, u5])))
+    return mk(u4_a), mk(u4_b)
+
+
 def mean_baseline_mse(train_spectra, eval_spectra):
     """MSE of always predicting the training-set mean spectrum: the autoencoder's baseline."""
     mean = train_spectra.mean(axis=0)
