@@ -24,7 +24,6 @@ from . import autoencoder, dataset, mdn, svgplot, transfer
 from .dataset import DatasetFormatError, PARAM_LOWER, PARAM_NAMES, PARAM_UPPER
 from .nncore import (
     CheckpointFormatError,
-    CheckpointWriter,
     TrainingDivergedError,
     finite_float,
     read_csv,
@@ -90,6 +89,8 @@ def parse_config_file(path: str | Path, command: str) -> dict:
         text = read_text(path)
     except DatasetFormatError as exc:  # a bad --config is a usage error, as below
         raise ValueError(str(exc)) from None
+    except OSError as exc:  # missing, a directory, unreadable: FILE: reason, as main prints
+        raise ValueError(f"{path}: {exc.strerror}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -243,44 +244,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = resolve_out(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ae_seconds = None
-    # a checkpoint that more training follows is written by a forked child while that
-    # training runs; the last one is written here, with nothing left to overlap
-    with CheckpointWriter() as writer:
-        if cfg.autoencoder:
-            t0 = time.perf_counter()
-            ae_fit = autoencoder.train_ae(
-                ds.spectra_for("train"),
-                ds.spectra_for("val"),
-                cfg,
-                shuffle_rng=child_rng(cfg.seed, ROLE_AE_SHUFFLE),
-                rng=child_rng(cfg.seed, ROLE_AE_INIT),
-            )
-            ae_seconds = time.perf_counter() - t0
-            writer.save(autoencoder.save_ae, out_dir / "ae.json", ae_fit.model)
-            _write_log_csv(out_dir / "ae_log.csv", ae_fit.log, "mse")
-            latents = autoencoder.encode(ae_fit.model, ds.spectra)
-            arrays = arrays_from_dataset(ds, x_matrix=latents)
-            # diagnostic only: how close encode(decode(z)) comes to fixing the latents
-            train_latents = latents[ds.indices("train")]
-            roundtrip = autoencoder.encode(
-                ae_fit.model, autoencoder.decode(ae_fit.model, train_latents)
-            )
-            latent_mse = float(np.mean((roundtrip - train_latents) ** 2))
-            print(
-                f"autoencoder: {ae_fit.epochs} epochs, "
-                f"val reconstruction MSE {ae_fit.best_val_loss:.3e}, "
-                f"latent round-trip MSE {latent_mse:.3e}"
-            )
+    if cfg.autoencoder:
+        t0 = time.perf_counter()
+        ae_fit = autoencoder.train_ae(
+            ds.spectra_for("train"),
+            ds.spectra_for("val"),
+            cfg,
+            shuffle_rng=child_rng(cfg.seed, ROLE_AE_SHUFFLE),
+            rng=child_rng(cfg.seed, ROLE_AE_INIT),
+        )
+        ae_seconds = time.perf_counter() - t0
+        autoencoder.save_ae(out_dir / "ae.json", ae_fit.model)
+        _write_log_csv(out_dir / "ae_log.csv", ae_fit.log, "mse")
+        latents = autoencoder.encode(ae_fit.model, ds.spectra)
+        arrays = arrays_from_dataset(ds, x_matrix=latents)
+        # diagnostic only: how close encode(decode(z)) comes to fixing the latents
+        train_latents = latents[ds.indices("train")]
+        roundtrip = autoencoder.encode(
+            ae_fit.model, autoencoder.decode(ae_fit.model, train_latents)
+        )
+        latent_mse = float(np.mean((roundtrip - train_latents) ** 2))
+        print(
+            f"autoencoder: {ae_fit.epochs} epochs, "
+            f"val reconstruction MSE {ae_fit.best_val_loss:.3e}, "
+            f"latent round-trip MSE {latent_mse:.3e}"
+        )
 
-        def on_trained(entry: transfer.SweepEntry) -> None:
-            path = out_dir / f"mdn_k{entry.k:02d}.json"
-            if entry.k < cfg.k_max:
-                writer.save(mdn.save_mdn, path, entry.model)
-            else:
-                mdn.save_mdn(path, entry.model)
-            _write_log_csv(out_dir / f"log_k{entry.k:02d}.csv", entry.log, "nll")
+    def on_trained(entry: transfer.SweepEntry) -> None:
+        mdn.save_mdn(out_dir / f"mdn_k{entry.k:02d}.json", entry.model)
+        _write_log_csv(out_dir / f"log_k{entry.k:02d}.csv", entry.log, "nll")
 
-        result = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg, on_trained=on_trained)
+    result = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg, on_trained=on_trained)
     transfer.write_sweep_results(out_dir / "sweep_results.csv", result)
     transfer.write_sweep_timing(out_dir / "sweep_timing.csv", result, ae_seconds=ae_seconds)
     write_config(out_dir / "config.txt", cfg, "sweep")

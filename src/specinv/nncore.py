@@ -12,14 +12,13 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 ACT_SILU = "silu"
 ACT_IDENTITY = "identity"
@@ -344,9 +343,10 @@ class EarlyStopping:
 
 # --- text output ---------------------------------------------------------------
 #
-# Every float written to a file goes through ``fmt``: 17 significant digits
+# Every float written to a CSV file goes through ``fmt``: 17 significant digits
 # round-trip IEEE-754 doubles bit-exactly.  Checkpoints are plain JSON read back
-# by the stock json parser; see docs/checkpoint.schema.json for the layout.
+# by the stock json parser, each float array one hex string of its float64 bytes;
+# see docs/checkpoint.schema.json for the layout.
 
 
 def fmt(x: float) -> str:
@@ -410,23 +410,17 @@ def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]) -> l
     return rows
 
 
-def _float_array_json(a: np.ndarray) -> str:
-    """One 1-D float row as a JSON list, checked once and formatted by one template.
-
-    ``"%.17g" % x`` is ``fmt(x)`` for every finite float, so the row text is the
-    per-float ``fmt`` join, made in one formatting call instead of one per float."""
-    if not np.isfinite(a).all():
-        bad = float(a[~np.isfinite(a)][0])
-        raise ValueError(f"non-finite value {bad!r} cannot be checkpointed")
-    return ("[" + ", ".join(["%.17g"] * len(a)) + "]") % tuple(a.tolist())
-
-
 def _json_fragments(obj, out: list[str], indent: int) -> None:
-    """What checkpoints hold: dicts, lists, 1-D and 2-D float arrays, ints, strs."""
+    """What checkpoints hold: dicts, lists, 1-D and 2-D float arrays, ints, strs.
+
+    A float array is one string: the hex of its little-endian float64 bytes in
+    row-major order, 16 digits per element; ``checkpoint_array`` reads it back."""
     pad = "  " * indent
-    float_ndim = obj.ndim if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" else 0
-    if float_ndim == 1:
-        out.append(_float_array_json(obj))
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
+        if not np.isfinite(obj).all():
+            bad = float(obj[~np.isfinite(obj)][0])
+            raise ValueError(f"non-finite value {bad!r} cannot be checkpointed")
+        out.append('"' + np.ascontiguousarray(obj, "<f8").tobytes().hex() + '"')
     elif isinstance(obj, dict):
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
@@ -434,7 +428,7 @@ def _json_fragments(obj, out: list[str], indent: int) -> None:
             _json_fragments(value, out, indent + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, list) or float_ndim == 2:  # a matrix is a list of rows
+    elif isinstance(obj, list):
         out.append("[")
         for i, value in enumerate(obj):
             if i:
@@ -443,7 +437,7 @@ def _json_fragments(obj, out: list[str], indent: int) -> None:
         out.append("]")
     elif isinstance(obj, (int, str)):
         out.append(json.dumps(obj))
-    else:  # floats only ever reach a file through ``fmt`` in a float array
+    else:  # floats only ever reach a checkpoint inside a float array
         raise TypeError(f"cannot checkpoint a {type(obj).__name__} value")
 
 
@@ -456,74 +450,6 @@ def dump_checkpoint_text(payload: dict) -> str:
 
 def save_checkpoint(path: str | Path, payload: dict) -> None:
     Path(path).write_text(dump_checkpoint_text(payload), encoding="utf-8")
-
-
-def _write_and_exit(write: Callable, path: str | Path, obj, pipe: int) -> None:
-    """A writer child's whole life: write, send any failure down ``pipe``, and end
-    without returning, flushing stdio or running exit handlers."""
-    status = 1
-    try:
-        write(path, obj)
-        status = 0
-    except Exception as exc:
-        reason = getattr(exc, "strerror", None) or str(exc) or type(exc).__name__
-        os.write(pipe, f"{path}: {reason}".encode()[:4096])  # fits the pipe: never blocks
-    finally:
-        os._exit(status)
-
-
-class CheckpointWriter:
-    """Checkpoint writes that run in forked children while the caller goes on.
-
-    ``save(write, path, obj)`` calls ``write(path, obj)``, a writer such as
-    ``mdn.save_mdn`` that ends in ``save_checkpoint``, in a child.  The child
-    writes from its copy-on-write snapshot of ``obj``, so the file holds the
-    bytes an in-process write would, whatever the parent changes afterwards.  A
-    child makes no BLAS call, so BLAS threads idle in the parent cannot hold a
-    lock it needs.  Leaving the ``with`` block waits for every child; if one
-    failed and no exception is already leaving the block, it raises ``OSError``
-    naming that child's file.  Without ``os.fork`` each write runs in-process.
-    """
-
-    def __init__(self):
-        self._children: list[tuple[int, int, Path]] = []  # pid, read end of its pipe, file
-
-    def save(self, write: Callable, path: str | Path, obj) -> None:
-        if not hasattr(os, "fork"):
-            write(path, obj)
-            return
-        import signal  # here, not at the top: predict never forks
-
-        read_end, write_end = os.pipe()
-        # the child keeps Ctrl-C blocked, so no KeyboardInterrupt carries it out of ``save``
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _write_and_exit(write, path, obj, write_end)
-        except OSError as exc:  # no process to spare
-            os.close(read_end)
-            raise OSError(f"{path}: cannot start a writer process: {exc.strerror}") from None
-        finally:  # in the parent only: the child has ended
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            os.close(write_end)
-        self._children.append((pid, read_end, Path(path)))
-
-    def __enter__(self) -> "CheckpointWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        failures = []
-        for pid, read_end, path in self._children:
-            _, status = os.waitpid(pid, 0)
-            with os.fdopen(read_end, "rb") as pipe:
-                reason = pipe.read().decode("utf-8", errors="replace")
-            if status != 0:
-                code = os.waitstatus_to_exitcode(status)
-                failures.append(reason or f"{path}: checkpoint writer ended with status {code}")
-        self._children.clear()
-        if failures and exc_type is None:
-            raise OSError(failures[0])
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -568,13 +494,20 @@ def checkpoint_count(value, name: str) -> int:
 
 
 def checkpoint_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """A finite float64 array of exactly ``shape``."""
+    """The finite float64 array of exactly ``shape`` that a checkpoint's hex string holds."""
+    if not isinstance(value, str):
+        raise CheckpointFormatError(f"{name} is not a hex string")
+    size = math.prod(shape)
+    if len(value) != 16 * size:
+        raise CheckpointFormatError(
+            f"{name} has {len(value)} hex digits, expected {16 * size} for shape {shape}")
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise CheckpointFormatError(f"{name} is not a numeric array") from None
-    if arr.shape != shape:
-        raise CheckpointFormatError(f"{name} has shape {arr.shape}, expected {shape}")
+        raw = bytearray.fromhex(value)
+    except ValueError:
+        raw = b""
+    if len(raw) != 8 * size:  # ``fromhex`` skips whitespace: a right-length text can hold some
+        raise CheckpointFormatError(f"{name} holds a character that is not a hex digit")
+    arr = np.frombuffer(raw, "<f8").reshape(shape)
     if not np.isfinite(arr).all():
         raise CheckpointFormatError(f"{name} has non-finite values")
     return arr

@@ -164,47 +164,17 @@ class TestSweep:
         assert code == EXIT_DIVERGED
 
 
-def run_outputs(out: Path) -> dict:
-    """Every file of a run but the wall-clock one, by name."""
-    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "sweep_timing.csv"}
-
-
 class TestSweepWrites:
-    """Checkpoints that more training follows are written by forked children."""
+    """Each checkpoint is written in-process as soon as its model has trained."""
 
     SWEEP = ["sweep", "--k-max", 3, "--strategy", "tl1", "--autoencoder", "--seed", 4,
              "--max-epochs", 2, "--batch-size", 16, "--out", "run"]
 
-    def test_forked_writes_equal_in_process_writes(self, tiny_dataset, tmp_path):
-        """Artifacts and stdout, redirected to a file as a duplicated buffer would
-        show, are byte-equal with and without ``os.fork``."""
-        runs = {}
-        # stdout to a file is block-buffered, unless PYTHONUNBUFFERED says otherwise
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(SRC)
-        for name, prelude in [("forked", ""), ("in_process", "del os.fork; ")]:
-            cwd = tmp_path / name
-            cwd.mkdir()
-            probe = (f"import os, sys; {prelude}"
-                     "from specinv.cli import main; sys.exit(main(sys.argv[1:]))")
-            argv = [sys.executable, "-c", probe, *map(str, self.SWEEP), "--dataset", tiny_dataset]
-            with open(cwd / "stdout.txt", "wb") as stdout:
-                done = subprocess.run(argv, cwd=cwd, stdout=stdout,
-                                      stderr=subprocess.PIPE, timeout=300, env=env)
-            assert done.returncode == EXIT_OK, done.stderr
-            assert done.stderr == b""
-            runs[name] = run_outputs(cwd / "run"), (cwd / "stdout.txt").read_bytes()
-        assert sorted(runs["forked"][0]) == sorted(
-            ["ae.json", "ae_log.csv", "config.txt", "sweep_results.csv"]
-            + [f"{kind}_k{k:02d}.{ext}" for k in (1, 2, 3) for kind, ext in
-               [("mdn", "json"), ("log", "csv")]]
-        )
-        assert runs["forked"] == runs["in_process"]
-        assert runs["forked"][1].count(b"\n") == 4  # autoencoder, then K=1..3
+    CHECKPOINTS = ["ae.json", "mdn_k01.json", "mdn_k02.json", "mdn_k03.json"]
 
-    # the last checkpoint is written in-process: its failure reads as a child's does
     @pytest.mark.parametrize("name", ["ae.json", "mdn_k01.json", "mdn_k03.json"])
     def test_failed_child_write_exits_3(self, name, tiny_dataset, tmp_path, monkeypatch, capsys):
+        """A failed write stops the sweep at once: no later model trains or is written."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "run" / name).mkdir(parents=True)
         code = run(*self.SWEEP, "--dataset", tiny_dataset)
@@ -212,8 +182,8 @@ class TestSweepWrites:
         assert code == EXIT_IO
         assert err == f"error: {Path('run') / name}: Is a directory\n"
         assert_no_child_left()
-        # the failure is found after training, before the results file is written
-        assert (tmp_path / "run" / "mdn_k03.json").exists()
+        later = self.CHECKPOINTS[self.CHECKPOINTS.index(name) + 1:]
+        assert not any((tmp_path / "run" / n).exists() for n in later)
         assert not (tmp_path / "run" / "sweep_results.csv").exists()
 
     @pytest.mark.parametrize("error,code", [
@@ -221,7 +191,7 @@ class TestSweepWrites:
     ], ids=["divergence", "ctrl_c"])
     def test_no_child_left_when_training_stops(self, error, code, tiny_dataset, tmp_path,
                                                monkeypatch):
-        """K=2 stops while the children writing ae.json and mdn_k01.json may still run."""
+        """K=2 stops training; the checkpoints of the models trained before it load."""
         trained, train_mdn_of_k1 = [], transfer.train_mdn
 
         def train_mdn(*args, **kwargs):
@@ -360,11 +330,37 @@ def _edit_json(edit):
     return apply
 
 
+def _format_1(text):
+    """The same model as a format 1 file, whose arrays are JSON numbers (a matrix by rows)."""
+    data = mdn.mdn_to_dict(mdn.mdn_from_dict(json.loads(text)))
+    data["format_version"] = 1
+    return json.dumps(data, default=np.ndarray.tolist)
+
+
+def _short_by_one_row(d):
+    """mu_w without its last row: 16 hex digits per float, one float per trunk feature."""
+    features = d["trunk"]["layer_widths"][-1]
+    d["head"]["mu_w"] = d["head"]["mu_w"][: -16 * features]
+
+
+# each defect, and the start of the reason its one error line gives after the file name
 CHECKPOINT_DEFECTS = {
-    "truncated": lambda text: text[: len(text) // 2],
-    "format_version_99": _edit_json(lambda d: d.update(format_version=99)),
-    "missing_head_pi_b": _edit_json(lambda d: d["head"].pop("pi_b")),
-    "mu_w_short_by_one_row": _edit_json(lambda d: d["head"]["mu_w"].pop()),
+    "truncated": (lambda text: text[: len(text) // 2], "not a JSON checkpoint"),
+    "format_version_1": (_format_1, "unsupported format_version 1\n"),
+    "format_version_99": (_edit_json(lambda d: d.update(format_version=99)),
+                          "unsupported format_version 99\n"),
+    "missing_head_pi_b": (_edit_json(lambda d: d["head"].pop("pi_b")),
+                          "head is missing pi_b\n"),
+    "mu_w_short_by_one_row": (_edit_json(_short_by_one_row),
+                              "head.mu_w has 33600 hex digits, expected 36000 for shape (15, 150)\n"),
+    "non_hex_digit": (_edit_json(lambda d: d["head"].update(pi_b="g" + d["head"]["pi_b"][1:])),
+                      "head.pi_b holds a character that is not a hex digit\n"),
+    "nan_bit_pattern": (
+        _edit_json(lambda d: d["head"].update(pi_b=np.full(3, np.nan).tobytes().hex())),
+        "head.pi_b has non-finite values\n"),
+    "list_instead_of_hex": (_edit_json(lambda d: d["head"].update(
+        pi_b=np.frombuffer(bytes.fromhex(d["head"]["pi_b"])).tolist())),
+        "head.pi_b is not a hex string\n"),
 }
 
 
@@ -385,11 +381,12 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
     def test_malformed_checkpoint(self, defect, checkpoint, tmp_path, capsys):
-        checkpoint.write_text(CHECKPOINT_DEFECTS[defect](checkpoint.read_text()))
+        edit, reason = CHECKPOINT_DEFECTS[defect]
+        checkpoint.write_text(edit(checkpoint.read_text()))
         code = self.predict(checkpoint, ["0.5"] * 101, tmp_path / "pred")
         err = capsys.readouterr().err
         assert code == EXIT_IO
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {checkpoint}: {reason}") and err.count("\n") == 1
         assert not (tmp_path / "pred").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.25", "1.5"])
@@ -576,6 +573,16 @@ class TestConfigFile:
         assert err == f"error: {cfg}: line 1: {message}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("kind,reason", [("missing", "No such file or directory"),
+                                             ("directory", "Is a directory")])
+    def test_config_that_cannot_be_read(self, kind, reason, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        if kind == "directory":
+            cfg.mkdir()
+        assert run(command, "--config", cfg) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}: {reason}\n"
+
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_bytes(b"seed = 1\n# caf\xe9\n")
@@ -721,7 +728,7 @@ def test_cli_import_leaves_sobol_sampling_unloaded():
 
 def test_cli_import_loads_no_scipy():
     """Only gen-data's Sobol sampling needs scipy; every other command runs without it.
-    Sweep's checkpoint writers are plain forks, so no process-pool module loads either."""
+    Sweep writes its checkpoints in-process, so no process-pool module loads either."""
     probe = (
         "import sys\n"
         "import specinv.cli\n"

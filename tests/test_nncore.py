@@ -1,14 +1,14 @@
 """Engine-level tests: activations, forward/backward, Adam, early stopping, checkpoints."""
 
 import math
-import os
-import signal
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from specinv import mdn, nncore
@@ -25,34 +25,7 @@ from specinv.nncore import (
     init_mlp,
 )
 from specinv.train import TrainConfig
-from util import assert_no_child_left
-
-
-def finite_difference_grads(loss_fn, params, h=1e-5):
-    """Central differences over every coordinate of every parameter array."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            orig = p[i]
-            p[i] = orig + h
-            lp = loss_fn()
-            p[i] = orig - h
-            lm = loss_fn()
-            p[i] = orig
-            g[i] = (lp - lm) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def max_rel_error(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+from util import finite_difference_grads, max_rel_error
 
 
 def silu(v):
@@ -358,10 +331,6 @@ class TestCheckpoint:
         for a, b in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a, b)
 
-    def test_floats_written_with_17_significant_digits(self):
-        text = nncore.dump_checkpoint_text({"x": np.array([0.1])})
-        assert "0.10000000000000001" in text
-
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         nncore.save_checkpoint(
@@ -389,9 +358,10 @@ class TestCheckpoint:
         assert not path.exists()
 
     def test_text_layout_pinned(self):
-        """The kinds checkpoints hold: dicts, lists, 1-D and 2-D float arrays, ints, strs."""
+        """The kinds checkpoints hold: dicts, lists, 1-D and 2-D float arrays, ints, strs.
+        A float array is the hex of its little-endian float64 bytes, row after row."""
         payload = {
-            "format_version": 1,
+            "format_version": 2,
             "kind": "pin",
             "layer_widths": [7, 5, 3],
             "activations": ["silu", "identity"],
@@ -405,14 +375,14 @@ class TestCheckpoint:
         }
         expected = (
             "{\n"
-            '  "format_version": 1,\n'
+            '  "format_version": 2,\n'
             '  "kind": "pin",\n'
             '  "layer_widths": [7, 5, 3],\n'
             '  "activations": ["silu", "identity"],\n'
             '  "dropout_after": [],\n'
             '  "nested": {\n'
-            '    "vector": [0.10000000000000001, -2.5, 1e-300],\n'
-            '    "matrix": [[1, 2], [3, 0.30000000000000004]],\n'
+            '    "vector": "9a9999999999b93f00000000000004c059f3f8c21f6ea501",\n'
+            '    "matrix": "000000000000f03f00000000000000400000000000000840343333333333d33f",\n'
             '    "inner": {\n'
             '      "count": 2,\n'
             '      "records": [{\n'
@@ -420,91 +390,43 @@ class TestCheckpoint:
             "        }]\n"
             "    }\n"
             "  },\n"
-            '  "layers": [[0.5], [[-1, 1e+20]]]\n'
+            '  "layers": ["000000000000e03f", "000000000000f0bf408cb5781daf1544"]\n'
             "}\n"
         )
         assert nncore.dump_checkpoint_text(payload) == expected
 
-    # edge floats: signed zero, the smallest subnormal, tiny, huge, and integral values
-    # >= 1e16, which ``.17g`` writes as 17 bare digits (1e16) or with an exponent (2**60)
-    EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 1e16, 2.0**60,
-                   -1.2345678901234567e18, 123456789012345680.0]
+    # signed zero, the smallest subnormal and the largest finite doubles
+    EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(row=st.lists(
-        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)),
-        min_size=1, max_size=2000,
+    @settings(max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arr=hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=40),
+        elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(EDGE_FLOATS)),
     ))
-    @example(row=EDGE_FLOATS)
-    @example(row=[1e16] * 2000)
-    def test_row_template_equals_per_float_fmt(self, row):
-        row = np.array(row, dtype=np.float64)
-        expected = "[" + ", ".join(map(nncore.fmt, row.tolist())) + "]"
-        assert nncore._float_array_json(row) == expected
+    @example(arr=np.array(EDGE_FLOATS))
+    @example(arr=np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]))
+    def test_round_trip_keeps_every_bit(self, arr, tmp_path):
+        """Any finite array, and its transpose (not C-contiguous), comes back bit for bit."""
+        path = tmp_path / "a.json"
+        nncore.save_checkpoint(path, {"a": arr, "t": arr.T})
+        data = nncore.load_checkpoint(path)
+        for key, expected in (("a", arr), ("t", arr.T)):
+            back = nncore.checkpoint_array(data[key], expected.shape, key)
+            assert back.dtype == np.float64 and back.shape == expected.shape
+            assert back.tobytes() == expected.tobytes()
 
-
-HALF = {"w": np.array([0.5])}
-HALF_TEXT = '{\n  "w": [0.5]\n}\n'
-
-
-class TestCheckpointWriter:
-    @staticmethod
-    def save(writer, path, payload=HALF):
-        writer.save(nncore.save_checkpoint, path, payload)
-
-    def test_child_writes_the_bytes_of_the_moment_it_starts(self, tmp_path):
-        payload = {"w": np.array([[0.1, 0.2], [0.3, 0.4]]), "n": 2}
-        expected = nncore.dump_checkpoint_text(payload)
-        with nncore.CheckpointWriter() as writer:
-            self.save(writer, tmp_path / "a.json", payload)
-            payload["w"] += 1.0  # the parent goes on changing the weights
-        assert (tmp_path / "a.json").read_text(encoding="utf-8") == expected
-        assert_no_child_left()
-
-    def test_failed_write_raises_on_leaving_naming_the_file(self, tmp_path):
-        (tmp_path / "dir.json").mkdir()
-        with pytest.raises(OSError) as exc:
-            with nncore.CheckpointWriter() as writer:
-                self.save(writer, tmp_path / "dir.json")
-                self.save(writer, tmp_path / "ok.json")
-        assert str(exc.value) == f"{tmp_path / 'dir.json'}: Is a directory"
-        assert (tmp_path / "ok.json").read_text() == HALF_TEXT
-        assert_no_child_left()
-
-    def test_failed_write_leaves_a_leaving_exception_alone(self, tmp_path):
-        (tmp_path / "dir.json").mkdir()
-        with pytest.raises(TrainingDivergedError):
-            with nncore.CheckpointWriter() as writer:
-                self.save(writer, tmp_path / "dir.json")
-                raise TrainingDivergedError("next model")
-        assert_no_child_left()
-
-    def test_non_finite_weights_fail_in_the_child(self, tmp_path):
-        with pytest.raises(OSError, match="non-finite value nan cannot be checkpointed"):
-            with nncore.CheckpointWriter() as writer:
-                self.save(writer, tmp_path / "a.json", {"w": np.array([np.nan])})
-        assert not (tmp_path / "a.json").exists()
-
-    def test_failed_fork_names_the_file_and_restores_ctrl_c(self, tmp_path, monkeypatch):
-        def fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-        with pytest.raises(OSError) as exc:
-            with nncore.CheckpointWriter() as writer:
-                self.save(writer, tmp_path / "a.json")
-        assert str(exc.value) == (f"{tmp_path / 'a.json'}: cannot start a writer process: "
-                                  "Resource temporarily unavailable")
-        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
-
-    def test_without_fork_the_write_is_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        (tmp_path / "dir.json").mkdir()
-        with nncore.CheckpointWriter() as writer:
-            self.save(writer, tmp_path / "a.json")
-            assert (tmp_path / "a.json").read_text() == HALF_TEXT
-            with pytest.raises(IsADirectoryError):  # at once, from the caller's own write
-                self.save(writer, tmp_path / "dir.json")
+    # test_cli's CHECKPOINT_DEFECTS holds a list, a short string, a non-hex digit and a NaN
+    @pytest.mark.parametrize("value,reason", [
+        ("000000000000f03f000000000000f03f00", "has 34 hex digits, expected 32 for shape (2,)"),
+        ("000000000000f03f 00000000000f03f", "holds a character that is not a hex digit"),
+        ("000000000000f03f00000000000000é0", "holds a character that is not a hex digit"),
+        ("000000000000f03f000000000000f07f", "has non-finite values"),  # +inf
+    ], ids=["long", "whitespace", "non_ascii", "inf"])
+    def test_malformed_array_rejected(self, value, reason):
+        with pytest.raises(nncore.CheckpointFormatError, match="^w " + re.escape(reason)):
+            nncore.checkpoint_array(value, (2,), "w")
 
 
 class TestDeterminism:

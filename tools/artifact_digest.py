@@ -9,8 +9,14 @@ depend on where ``OUT_DIR`` is.  The tool prints one ``sha256  path`` line per
 file, the standard output of each command included, and then the sha256 of that
 listing.  ``sweep_timing.csv`` holds wall-clock seconds and is left out.
 
+Last it prints a weights digest: the sha256 over every checkpoint's parameter
+arrays (shape and float64 bytes), decoded in a fresh process by the package's
+own ``load_mdn`` or ``load_ae``.  It does not depend on how a checkpoint encodes
+its floats, so a change of file format alone keeps it.
+
 Run it once on two checkouts and compare the listings: a change that keeps
-every artifact byte-identical prints the same combined digest.
+every artifact byte-identical prints the same combined digest, and one that
+keeps every trained weight prints the same weights digest.
 """
 
 from __future__ import annotations
@@ -70,6 +76,33 @@ def run_commands(src: Path, out: Path) -> None:
         (out / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
 
 
+# run in the checkout's own package: one line per checkpoint, the sha256 of its weights
+WEIGHTS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from specinv import autoencoder, mdn
+for rel in sys.argv[1:]:
+    model = (autoencoder.load_ae if rel.endswith("/ae.json") else mdn.load_mdn)(rel)
+    h = hashlib.sha256()
+    for p in model.parameters():
+        h.update(repr(p.shape).encode())
+        h.update(np.ascontiguousarray(p, "<f8").tobytes())
+    print(h.hexdigest() + "  " + rel)
+"""
+
+
+def weights_digest(src: Path, out: Path) -> tuple[str, int]:
+    """The sha256 of the per-checkpoint weight hashes, and the checkpoint count."""
+    paths = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.json")
+                   if p.name == "ae.json" or p.name.startswith("mdn_k"))
+    proc = subprocess.run([sys.executable, "-c", WEIGHTS_SCRIPT, *paths], cwd=out,
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"loading the checkpoints exited {proc.returncode}:\n{proc.stderr}")
+    return hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest(), len(paths)
+
+
 def digest_listing(out: Path) -> list[str]:
     lines = []
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
@@ -95,6 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     print("\n".join(lines))
     combined = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
     print(f"{combined}  ({len(lines)} files)")
+    weights, count = weights_digest(src, out)
+    print(f"{weights}  (weights of {count} checkpoints)")
     return 0
 
 
