@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -30,24 +29,12 @@ from .nncore import (
     read_text,
     write_csv,
 )
-from .train import (
-    ROLE_AE_INIT,
-    ROLE_AE_SHUFFLE,
-    ROLE_DROPOUT,
-    ROLE_INIT,
-    ROLE_SHUFFLE,
-    TrainConfig,
-    arrays_from_dataset,
-    child_rng,
-    train_mdn,
-)
+from .train import TrainConfig, ae_streams, arrays_from_dataset, model_streams, train_mdn
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
-
-OUT_DIR_ENV = "SPECINV_OUT_DIR"
 
 
 @dataclass
@@ -144,15 +131,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def resolve_out(path: str) -> Path:
-    """Relative outputs can be redirected wholesale via one environment variable."""
-    override = os.environ.get(OUT_DIR_ENV)
-    p = Path(path)
-    if override and not p.is_absolute():
-        return Path(override) / p
-    return p
-
-
 def _write_log_csv(path: Path, log: list[tuple[float, float]], loss: str) -> None:
     rows = ([epoch, train, val] for epoch, (train, val) in enumerate(log, start=1))
     write_csv(path, ["epoch", f"train_{loss}", f"val_{loss}"], rows)
@@ -186,7 +164,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     samples = args.samples
     if samples < 1:
         raise ValueError("--samples must be >= 1")
-    out = resolve_out(args.out_file)
+    out = args.out_file
     out.parent.mkdir(parents=True, exist_ok=True)
     ds = dataset.generate_dataset(samples, seed=cfg.seed)
     dataset.save_dataset(out, ds, seed=cfg.seed)
@@ -220,17 +198,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.strategy != transfer.STRATEGY_NONE:
         raise ValueError("train fits a single model from scratch; use 'sweep' for tl1/tl2")
     ds, arrays = _load_arrays(cfg)
-    out_dir = resolve_out(cfg.out)
+    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     k = cfg.k
-    model = mdn.build_mdn(arrays.input_width, k, child_rng(cfg.seed + k, ROLE_INIT))
-    fit = train_mdn(
-        model,
-        arrays,
-        cfg,
-        shuffle_rng=child_rng(cfg.seed, k, ROLE_SHUFFLE),
-        dropout_rng=child_rng(cfg.seed, k, ROLE_DROPOUT),
-    )
+    init_rng, shuffle_rng, dropout_rng = model_streams(cfg.seed, k)
+    model = mdn.build_mdn(arrays.input_width, k, init_rng)
+    fit = train_mdn(model, arrays, cfg, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
     mdn.save_mdn(out_dir / f"mdn_k{k:02d}.json", model)
     _write_log_csv(out_dir / f"log_k{k:02d}.csv", fit.log, "nll")
     write_config(out_dir / "config.txt", cfg, "train")
@@ -241,17 +214,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     ds, arrays = _load_arrays(cfg)
-    out_dir = resolve_out(cfg.out)
+    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ae_seconds = None
     if cfg.autoencoder:
         t0 = time.perf_counter()
+        shuffle_rng, rng = ae_streams(cfg.seed)
         ae_fit = autoencoder.train_ae(
-            ds.spectra_for("train"),
-            ds.spectra_for("val"),
-            cfg,
-            shuffle_rng=child_rng(cfg.seed, ROLE_AE_SHUFFLE),
-            rng=child_rng(cfg.seed, ROLE_AE_INIT),
+            ds.spectra_for("train"), ds.spectra_for("val"), cfg, shuffle_rng=shuffle_rng, rng=rng
         )
         ae_seconds = time.perf_counter() - t0
         autoencoder.save_ae(out_dir / "ae.json", ae_fit.model)
@@ -286,15 +256,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _spectrum_mixture(model: mdn.MdnModel, spectrum: np.ndarray, ae_path) -> mdn.MixtureParams:
-    """The model's mixture for one spectrum, through the autoencoder at ``ae_path`` if any."""
+def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray,
+                      ae_path) -> mdn.MixtureParams:
+    """The mixture of ``model``, loaded from ``checkpoint``, for one spectrum, through the
+    autoencoder at ``ae_path`` if any.
+
+    Saturated weights can pass every format check and still give a mixture with a
+    non-finite value or a deviation of 0; that is a format error of the checkpoint.
+    """
     if ae_path and model.input_width == spectrum.shape[-1]:
         raise ValueError("this checkpoint takes spectra and needs no --ae")
-    x = autoencoder.encode(autoencoder.load_ae(ae_path), spectrum) if ae_path else spectrum
-    if model.input_width != x.shape[-1]:
-        raise ValueError(f"checkpoint expects input width {model.input_width}, got {x.shape[-1]}; "
-                         f"models trained on latents need their autoencoder")
-    return mdn.mixture_for(model, x)
+    with np.errstate(all="ignore"):
+        x = autoencoder.encode(autoencoder.load_ae(ae_path), spectrum) if ae_path else spectrum
+        if model.input_width != x.shape[-1]:
+            raise ValueError(f"checkpoint expects input width {model.input_width}, got "
+                             f"{x.shape[-1]}; models trained on latents need their autoencoder")
+        mix = mdn.mixture_for(model, x)
+    if not (all(np.isfinite(a).all() for a in (mix.pi, mix.mu, mix.sigma)) and mix.sigma.all()):
+        raise CheckpointFormatError(f"{checkpoint}: the mixture for this spectrum has "
+                                    f"non-finite values or a deviation of 0")
+    return mix
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -302,9 +283,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not 1 <= args.top <= model.n_components:
         raise ValueError(f"--top {args.top} out of range [1, {model.n_components}]")
     spectrum = read_spectrum_file(args.spectrum_file)
-    mix = _spectrum_mixture(model, spectrum, args.ae)
+    mix = _spectrum_mixture(model, args.checkpoint, spectrum, args.ae)
     found = mdn.rank_candidates(mix, spectrum, args.top)
-    out_dir = resolve_out(args.out)
+    out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(
         out_dir / "predictions.csv",
@@ -346,7 +327,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     log_paths = {k: run_dir / f"log_k{k:02d}.csv" for k in ks}
     logs = {k: read_csv(path, _LOG_COLUMNS) for k, path in log_paths.items() if path.exists()}
     marginals = _test_record_mixture(args, run_dir, ks) if args.dataset else None
-    out_dir = resolve_out(args.out) if args.out else run_dir / "report"
+    out_dir = Path(args.out) if args.out else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
 
     strategy = rows[0]["strategy"]
@@ -388,10 +369,12 @@ def _test_record_mixture(args, run_dir: Path, ks: list[int]):
     if not 0 <= args.test_index < len(test_idx):
         raise ValueError(f"--test-index {args.test_index} out of range [0, {len(test_idx)})")
     k = args.k if args.k is not None else max(ks)
-    model = mdn.load_mdn(run_dir / f"mdn_k{k:02d}.json")
+    checkpoint = run_dir / f"mdn_k{k:02d}.json"
+    model = mdn.load_mdn(checkpoint)
     record = test_idx[args.test_index]
     ae_path = run_dir / "ae.json"
-    mix = _spectrum_mixture(model, ds.spectra[record], ae_path if ae_path.exists() else None)
+    mix = _spectrum_mixture(model, checkpoint, ds.spectra[record],
+                            ae_path if ae_path.exists() else None)
     return k, mix, ds.designs[record]
 
 
@@ -445,7 +428,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=dataset.DEFAULT_SAMPLE_COUNT)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--out", dest="out_file", default="dataset.csv")
+    p.add_argument("--out", dest="out_file", type=Path, default=Path("dataset.csv"))
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a single K-component model from scratch")
@@ -472,7 +455,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum-file", dest="spectrum_file", required=True)
     p.add_argument("--top", type=int, default=4)
     p.add_argument("--ae", help="autoencoder checkpoint for latent-input models")
-    p.add_argument("--out", default="prediction")
+    p.add_argument("--out", type=Path, default=Path("prediction"))
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="emit SVG/CSV figures from a finished run")

@@ -168,19 +168,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _logsumexp_rows(w: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp tolerating rows that are entirely -inf.
 
-    Only the all-components-underflowed case is special-cased; NaNs must
-    propagate so diverged training is detected, not masked.
+    Such a row is shifted by 0, not by its -inf maximum, so it sums to 0 and
+    its log is -inf.  NaNs must propagate so diverged training is detected,
+    not masked.
     """
     m = w.max(axis=1)
-    neg = np.isneginf(m)
-    if not neg.any():
+    m = np.where(np.isneginf(m), 0.0, m)
+    with np.errstate(divide="ignore"):
         return m + np.log(np.exp(w - m[:, None]).sum(axis=1))
-    out = np.full(w.shape[0], -np.inf)
-    keep = ~neg
-    if keep.any():
-        ws, ms = w[keep], m[keep]
-        out[keep] = ms + np.log(np.exp(ws - ms[:, None]).sum(axis=1))
-    return out
 
 
 def mixture_for(model: MdnModel, x: np.ndarray) -> MixtureParams:

@@ -93,15 +93,6 @@ class MlpModel:
         """Weight/bias arrays interleaved per layer; views, not copies."""
         return _interleave(self.weights, self.biases)
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_widths=list(self.layer_widths),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activations=list(self.activations),
-            dropout_after=frozenset(self.dropout_after),
-        )
-
 
 def init_mlp(
     layer_widths: list[int],

@@ -34,6 +34,22 @@ def child_rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
 
 
+def model_streams(seed: int, k: int) -> tuple[np.random.Generator, ...]:
+    """The initialization, shuffle and dropout streams of a run's K-component model.
+
+    Initialization re-seeds per K (seed + k), so the from-scratch models of a
+    sweep are independent and ``train --k K`` trains the sweep's model K.
+    """
+    return (child_rng(seed + k, ROLE_INIT), child_rng(seed, k, ROLE_SHUFFLE),
+            child_rng(seed, k, ROLE_DROPOUT))
+
+
+def ae_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The autoencoder's shuffle and initialization streams: ``train_ae``'s
+    ``(shuffle_rng, rng)``."""
+    return child_rng(seed, ROLE_AE_SHUFFLE), child_rng(seed, ROLE_AE_INIT)
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters shared by every training run.

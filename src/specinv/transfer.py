@@ -10,6 +10,7 @@ deterministic).
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,14 +23,11 @@ from .mdn import MdnHead, MdnModel
 from .nncore import TrainingDivergedError, finite_float, write_csv
 from .train import (
     ROLE_DONOR,
-    ROLE_DROPOUT,
-    ROLE_INIT,
-    ROLE_SHUFFLE,
     ROLE_WARM_JITTER,
     SupervisedArrays,
     TrainConfig,
-    TrainResult,
     child_rng,
+    model_streams,
     train_mdn,
 )
 
@@ -77,7 +75,7 @@ def grow(model_prev: MdnModel, donor: int) -> MdnModel:
         sigma_w=sigma_w,
         sigma_b=sigma_b,
     )
-    return MdnModel(trunk=model_prev.trunk.copy(), head=head)
+    return MdnModel(trunk=copy.deepcopy(model_prev.trunk), head=head)
 
 
 def perturb_new_component(model: MdnModel, rng: np.random.Generator, scale: float) -> None:
@@ -147,8 +145,8 @@ def sweep(
     result = SweepResult()
     prev_model: MdnModel | None = None
     for k in range(1, k_max + 1):
+        init_rng, shuffle_rng, dropout_rng = model_streams(config.seed, k)
         if k == 1 or strategy == STRATEGY_NONE:
-            init_rng = child_rng(config.seed + k, ROLE_INIT)
             model = mdn.build_mdn(
                 data.input_width, k, init_rng, n_targets=n_targets, trunk_widths=trunk_widths
             )
@@ -159,13 +157,7 @@ def sweep(
             )
         t0 = time.perf_counter()
         try:
-            fit: TrainResult = train_mdn(
-                model,
-                data,
-                config,
-                shuffle_rng=child_rng(config.seed, k, ROLE_SHUFFLE),
-                dropout_rng=child_rng(config.seed, k, ROLE_DROPOUT),
-            )
+            fit = train_mdn(model, data, config, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"K={k}: {exc}") from exc
         seconds = time.perf_counter() - t0

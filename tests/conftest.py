@@ -10,14 +10,7 @@ from dataclasses import dataclass
 import pytest
 
 from specinv import autoencoder, dataset, transfer
-from specinv.train import (
-    ROLE_AE_INIT,
-    ROLE_AE_SHUFFLE,
-    TrainConfig,
-    TrainResult,
-    arrays_from_dataset,
-    child_rng,
-)
+from specinv.train import TrainConfig, TrainResult, ae_streams, arrays_from_dataset
 
 ACCEPT_SEED = 7
 DESK_SAMPLES = 1000
@@ -74,12 +67,13 @@ class TrainedAe:
 @pytest.fixture(scope="session")
 def trained_ae(desk_dataset) -> TrainedAe:
     t0 = time.perf_counter()
+    shuffle_rng, rng = ae_streams(ACCEPT_SEED)
     fit = autoencoder.train_ae(
         desk_dataset.spectra_for("train"),
         desk_dataset.spectra_for("val"),
         accept_config(),
-        shuffle_rng=child_rng(ACCEPT_SEED, ROLE_AE_SHUFFLE),
-        rng=child_rng(ACCEPT_SEED, ROLE_AE_INIT),
+        shuffle_rng=shuffle_rng,
+        rng=rng,
     )
     return TrainedAe(fit=fit, wall_seconds=time.perf_counter() - t0)
 

@@ -7,6 +7,7 @@ import os
 import string
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +72,6 @@ class TestGenData:
         with open(out) as fh:
             assert sum(1 for _ in fh) == 3849  # header + records
 
-    def test_out_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "redirected"))
-        assert run("gen-data", "--samples", 10, "--seed", 1, "--out", "d.csv") == EXIT_OK
-        assert (tmp_path / "redirected" / "d.csv").exists()
-
 
 class TestTrain:
     def test_single_model_run(self, tiny_dataset, tmp_path):
@@ -104,6 +100,16 @@ class TestTrain:
         recomputed = mdn.batch_nll(model, arrays.val_x, arrays.val_y)
         best_logged = min(float(r["val_nll"]) for r in read_csv(out / "log_k02.csv"))
         assert recomputed == pytest.approx(best_logged, abs=1e-9)
+
+    def test_trains_the_none_sweep_model_of_its_k(self, tiny_dataset, tmp_path):
+        """train --k K draws the same random streams as model K of a none sweep."""
+        flags = ["--dataset", tiny_dataset, "--seed", 9, "--max-epochs", 5, "--batch-size", 16]
+        assert run("train", "--k", 2, "--out", tmp_path / "train", *flags) == EXIT_OK
+        assert run("sweep", "--strategy", "none", "--k-max", 2, "--out", tmp_path / "sweep",
+                   *flags) == EXIT_OK
+        for name in ("mdn_k02.json", "log_k02.csv"):
+            assert (tmp_path / "train" / name).read_bytes() == \
+                (tmp_path / "sweep" / name).read_bytes()
 
     def test_tl_strategy_rejected(self, tiny_dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -439,6 +445,52 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err == "error: this checkpoint takes spectra and needs no --ae\n"
         assert not (tmp_path / "pred").exists()
+
+
+def _saturate_trunk(model):
+    for w in model.trunk.weights:
+        w[:] = np.copysign(1e300, w)
+
+
+# K=2 spectrum models whose weights pass every format check but saturate the mixture
+SATURATED_CHECKPOINTS = {
+    "sigma_b_plus_1000": lambda model: model.head.sigma_b.fill(1000.0),  # sigma = inf
+    "sigma_b_minus_1000": lambda model: model.head.sigma_b.fill(-1000.0),  # sigma = 0
+    "trunk_weights_1e300": _saturate_trunk,  # NaN features
+}
+
+
+class TestSaturatedCheckpoint:
+    """A mixture with a non-finite value or a deviation of 0 is a format error of its
+    checkpoint: exit 3, one line naming the file, no warning and nothing written."""
+
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    @pytest.mark.parametrize("saturate", sorted(SATURATED_CHECKPOINTS))
+    def test_exits_3(self, saturate, command, tiny_dataset, tmp_path, capsys):
+        model = mdn.build_mdn(101, 2, np.random.default_rng(0))
+        SATURATED_CHECKPOINTS[saturate](model)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        checkpoint = run_dir / "mdn_k02.json"
+        mdn.save_mdn(checkpoint, model)
+        if command == "predict":
+            spectrum = tmp_path / "spectrum.txt"
+            spectrum.write_text(" ".join(map(str, dataset.load_dataset(tiny_dataset).spectra[0])))
+            out = tmp_path / "pred"
+            argv = ["predict", "--checkpoint", checkpoint, "--spectrum-file", spectrum,
+                    "--top", 2, "--out", out]
+        else:
+            write_csv(run_dir / "sweep_results.csv", list(transfer.SWEEP_RESULTS_COLUMNS),
+                      [[2, "none", 2, 0.5, 0.5, 0.5]])
+            out = run_dir / "report"
+            argv = ["report", "--run-dir", run_dir, "--dataset", tiny_dataset]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestReport:

@@ -262,6 +262,43 @@ class TestSaturatedLogits:
         assert g_sigma_b[2:].any()
 
 
+def two_path_logsumexp_rows(w):
+    """The former log-sum-exp: a fast path, and a masked one once some row is all -inf."""
+    m = w.max(axis=1)
+    neg = np.isneginf(m)
+    if not neg.any():
+        return m + np.log(np.exp(w - m[:, None]).sum(axis=1))
+    out = np.full(w.shape[0], -np.inf)
+    keep = ~neg
+    if keep.any():
+        ws, ms = w[keep], m[keep]
+        out[keep] = ms + np.log(np.exp(ws - ms[:, None]).sum(axis=1))
+    return out
+
+
+LSE_ENTRIES = st.sampled_from([-np.inf, np.inf, np.nan, 0.0, 800.0, -800.0]) | st.floats(-1e3, 1e3)
+
+
+def lse_batches(k):
+    """(rows, k) batches mixing ordinary rows, NaN and infinite entries, and all -inf rows."""
+    row = st.lists(LSE_ENTRIES, min_size=k, max_size=k) | st.just([-np.inf] * k)
+    return st.lists(row, min_size=1, max_size=6)
+
+
+class TestLogsumexpRows:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows=st.integers(1, 4).flatmap(lse_batches))
+    @example(rows=[[-np.inf, -np.inf], [0.5, -np.inf], [np.nan, -np.inf]])
+    def test_matches_the_two_path_formula_bit_for_bit(self, rows):
+        w = np.array(rows)
+        with np.errstate(all="ignore"):
+            want = two_path_logsumexp_rows(w)
+            got = mdn._logsumexp_rows(w)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 class TestPredictModes:
     def test_single_component(self):
         mix = MixtureParams(pi=np.array([1.0]), mu=np.array([[1.0, 2.0]]),

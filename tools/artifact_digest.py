@@ -65,7 +65,6 @@ def write_query_spectrum(out: Path) -> None:
 def run_commands(src: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env.pop("SPECINV_OUT_DIR", None)
     for name, args in COMMANDS:
         if name == "predict_raw":
             write_query_spectrum(out)
