@@ -133,10 +133,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def _write_log_csv(path: Path, log: list[tuple[float, float]], loss: str) -> None:
     rows = ([epoch, train, val] for epoch, (train, val) in enumerate(log, start=1))
-    write_csv(path, ["epoch", f"train_{loss}", f"val_{loss}"], rows)
+    write_csv(path, log_columns(loss), rows)
 
 
-_LOG_COLUMNS = {"epoch": int, "train_nll": finite_float, "val_nll": finite_float}
+def log_columns(loss: str) -> dict:
+    """The columns of a training log of ``loss`` (nll or mse) per epoch."""
+    return {"epoch": int, f"train_{loss}": finite_float, f"val_{loss}": finite_float}
 
 
 def read_spectrum_file(path: str | Path) -> np.ndarray:
@@ -261,20 +263,23 @@ def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray,
     """The mixture of ``model``, loaded from ``checkpoint``, for one spectrum, through the
     autoencoder at ``ae_path`` if any.
 
-    Saturated weights can pass every format check and still give a mixture with a
-    non-finite value or a deviation of 0; that is a format error of the checkpoint.
-    """
+    Saturated weights can pass every format check yet give non-finite latents, or a mixture
+    with a non-finite value, a deviation of 0 or ``mu +/- 8 sigma`` beyond float64: a format
+    error of the checkpoint that gave it."""
     if ae_path and model.input_width == spectrum.shape[-1]:
         raise ValueError("this checkpoint takes spectra and needs no --ae")
     with np.errstate(all="ignore"):
         x = autoencoder.encode(autoencoder.load_ae(ae_path), spectrum) if ae_path else spectrum
+        if ae_path and not np.isfinite(x).all():
+            raise CheckpointFormatError(f"{ae_path}: the latents of this spectrum are not finite")
         if model.input_width != x.shape[-1]:
             raise ValueError(f"checkpoint expects input width {model.input_width}, got "
                              f"{x.shape[-1]}; models trained on latents need their autoencoder")
         mix = mdn.mixture_for(model, x)
-    if not (all(np.isfinite(a).all() for a in (mix.pi, mix.mu, mix.sigma)) and mix.sigma.all()):
-        raise CheckpointFormatError(f"{checkpoint}: the mixture for this spectrum has "
-                                    f"non-finite values or a deviation of 0")
+        bounds = mix.mu + np.multiply.outer([-8.0, 8.0], mix.sigma)  # what marginal_grid spans
+    if not (np.isfinite(mix.pi).all() and np.isfinite(bounds).all() and mix.sigma.all()):
+        raise CheckpointFormatError(f"{checkpoint}: the mixture for this spectrum has non-finite "
+                                    f"values, a deviation of 0 or a span beyond float64")
     return mix
 
 
@@ -289,20 +294,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(
         out_dir / "predictions.csv",
-        ["rank", "pi"] + list(PARAM_NAMES) + ["rmse"],
+        {"rank": int, "pi": float, **dict.fromkeys(PARAM_NAMES, float), "rmse": float},
         ([rank, pi, *design, rmse] for rank, (pi, design, rmse)
          in enumerate(zip(found.pi, found.designs, found.rmse), start=1)),
     )
     write_csv(
         out_dir / "resimulated.csv",
-        ["rank"] + [f"a_{i:03d}" for i in range(dataset.N_WAVELENGTHS)],
+        {"rank": int, **dataset.ABSORBANCE_COLUMNS},
         ([rank, *s] for rank, s in enumerate(found.resimulated, start=1)),
     )
     n = mix.n_targets
     write_csv(
         out_dir / "mixture.csv",
-        ["component", "pi"] + [f"mu_{c + 1}" for c in range(n)]
-        + [f"sigma_{c + 1}" for c in range(n)],
+        {"component": int, "pi": float,
+         **dict.fromkeys((f"{name}_{c + 1}" for name in ("mu", "sigma") for c in range(n)), float)},
         ([i, pi, *mu, *sigma]
          for i, (pi, mu, sigma) in enumerate(zip(mix.pi, mix.mu, mix.sigma), start=1)),
     )
@@ -325,7 +330,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ValueError(f"--k {args.k} is not a K of {results_path} ({ks})")
     # every file is read and checked before any figure is written
     log_paths = {k: run_dir / f"log_k{k:02d}.csv" for k in ks}
-    logs = {k: read_csv(path, _LOG_COLUMNS) for k, path in log_paths.items() if path.exists()}
+    logs = {k: read_csv(path, log_columns("nll")) for k, path in log_paths.items() if path.exists()}
     marginals = _test_record_mixture(args, run_dir, ks) if args.dataset else None
     out_dir = Path(args.out) if args.out else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -387,7 +392,7 @@ def _write_marginals(out_dir: Path, k: int, mix: mdn.MixtureParams, truth: np.nd
         # physical axis: value = lower + span*u, density rescaled to per-nm
         value_nm = PARAM_LOWER[c] + spans[c] * grid
         dens_nm = dens / spans[c]
-        write_csv(out_dir / f"marginal_{name}.csv", [f"{name}_nm", "density_per_nm"],
+        write_csv(out_dir / f"marginal_{name}.csv", {f"{name}_nm": float, "density_per_nm": float},
                   zip(value_nm, dens_nm))
         svg = svgplot.line_chart(
             [("weighted marginal pdf", value_nm, dens_nm)],

@@ -230,15 +230,15 @@ def generate_dataset(n: int, seed: int) -> LabeledDataset:
 # --- persistence --------------------------------------------------------------------
 
 
-def _header() -> list[str]:
-    return list(PARAM_NAMES) + ["split"] + [f"a_{i:03d}" for i in range(N_WAVELENGTHS)]
+ABSORBANCE_COLUMNS = dict.fromkeys((f"a_{i:03d}" for i in range(N_WAVELENGTHS)), float)
+DATASET_COLUMNS = {**dict.fromkeys(PARAM_NAMES, float), "split": str, **ABSORBANCE_COLUMNS}
 
 
 def save_dataset(path: str | Path, ds: LabeledDataset, seed: int | None = None) -> None:
     """Write the dataset CSV and a sidecar JSON metadata file alongside it."""
     path = Path(path)
     rows = zip(ds.designs.tolist(), ds.split_tags, ds.spectra.tolist())
-    write_csv(path, _header(), (d + [tag] + a for d, tag, a in rows))
+    write_csv(path, DATASET_COLUMNS, ((*d, tag, *a) for d, tag, a in rows))
     meta = {
         "seed": seed,
         "samples": len(ds),
@@ -254,13 +254,13 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     """Read and revalidate a dataset CSV; errors point at the offending line."""
     path = Path(path)
     designs, spectra, tags = [], [], []
-    expected_cols = len(_header())
+    expected_cols = len(DATASET_COLUMNS)
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader, None)
         if header is None:
             raise DatasetFormatError(f"{path}: empty file")
-        if header != _header():
+        if header != list(DATASET_COLUMNS):
             raise DatasetFormatError(
                 f"{path}: line 1: unexpected header (expected {expected_cols} columns "
                 f"p,w,h1,h2,h3,split,a_000..a_{N_WAVELENGTHS - 1:03d})"

@@ -334,24 +334,28 @@ class EarlyStopping:
 
 # --- text output ---------------------------------------------------------------
 #
-# Every float written to a CSV file goes through ``fmt``: 17 significant digits
-# round-trip IEEE-754 doubles bit-exactly.  Checkpoints are plain JSON read back
-# by the stock json parser, each float array one hex string of its float64 bytes;
-# see docs/checkpoint.schema.json for the layout.
+# Each CSV file is declared once, as the ``{name: type}`` dict of its columns that both
+# ``write_csv`` and ``read_csv`` take.  Checkpoints are plain JSON read back by the stock
+# json parser, each float array one hex string of its float64 bytes; see
+# docs/checkpoint.schema.json for the layout.
 
 
-def fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """One CSV file: floats through ``fmt``, every other cell through ``str``."""
+def write_csv(path: str | Path, columns: dict[str, Callable], rows) -> None:
+    """One CSV file of ``columns`` through one row template with CRLF line ends: ``%d``
+    for an ``int`` column, ``%s`` for a ``str`` one, and for any other ``%.17g``, which
+    round-trips a float64 bit-exactly.  A ``str`` cell holding a comma, a double quote,
+    CR or LF, which would need quoting, raises ``ValueError`` naming its column."""
+    cells = [{int: "%d", str: "%s"}.get(kind, "%.17g") for kind in columns.values()]
+    row_format = ",".join(cells) + "\r\n"
+    text_columns = [(i, name) for i, (name, kind) in enumerate(columns.items()) if kind is str]
+    needs_quoting = frozenset(',"\r\n')
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            [fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row] for row in rows
-        )
+        fh.write(",".join(columns) + "\r\n")
+        for row in rows:
+            for i, name in text_columns:
+                if not needs_quoting.isdisjoint(str(row[i])):
+                    raise ValueError(f"{path}: column {name}: {row[i]!r} would need quoting")
+            fh.write(row_format % tuple(row))
 
 
 def read_text(path: str | Path) -> str:

@@ -113,13 +113,7 @@ class SweepEntry:
 
 @dataclass
 class SweepResult:
-    entries: list[SweepEntry] = field(default_factory=list)
-
-    def entry(self, k: int) -> SweepEntry:
-        for e in self.entries:
-            if e.k == k:
-                return e
-        raise KeyError(f"no entry for K={k}")
+    entries: list[SweepEntry] = field(default_factory=list)  # K = 1, 2, ... in order
 
 
 def sweep(
@@ -192,11 +186,8 @@ SWEEP_RESULTS_COLUMNS = {
 
 
 def write_sweep_results(path: str | Path, result: SweepResult) -> None:
-    write_csv(
-        path,
-        list(SWEEP_RESULTS_COLUMNS),
-        ([e.k, e.strategy, e.epochs, e.train_nll, e.val_nll, e.test_nll] for e in result.entries),
-    )
+    rows = ([e.k, e.strategy, e.epochs, e.train_nll, e.val_nll, e.test_nll] for e in result.entries)
+    write_csv(path, SWEEP_RESULTS_COLUMNS, rows)
 
 
 def write_sweep_timing(
@@ -206,5 +197,5 @@ def write_sweep_timing(
     rows += [[f"k={e.k}", e.strategy, e.seconds] for e in result.entries]
     strategy = result.entries[0].strategy if result.entries else "-"
     rows.append(["total", strategy, sum(row[2] for row in rows)])
-    write_csv(path, ["stage", "strategy", "seconds"], rows)
+    write_csv(path, {"stage": str, "strategy": str, "seconds": float}, rows)
 

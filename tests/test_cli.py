@@ -423,7 +423,7 @@ class TestBadInputs:
         dataset.save_dataset(path, ds)
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        write_csv(run_dir / "sweep_results.csv", list(transfer.SWEEP_RESULTS_COLUMNS),
+        write_csv(run_dir / "sweep_results.csv", transfer.SWEEP_RESULTS_COLUMNS,
                   [[1, "none", 2, 0.5, 0.5, 0.5]])
         code = run("report", "--run-dir", run_dir, "--dataset", path)
         assert code == EXIT_IO
@@ -447,8 +447,9 @@ class TestBadInputs:
         assert not (tmp_path / "pred").exists()
 
 
-def _saturate_trunk(model):
-    for w in model.trunk.weights:
+def _saturate(mlp):
+    """Every weight of ``mlp`` to 1e300 with its sign: its outputs go NaN."""
+    for w in mlp.weights:
         w[:] = np.copysign(1e300, w)
 
 
@@ -456,13 +457,36 @@ def _saturate_trunk(model):
 SATURATED_CHECKPOINTS = {
     "sigma_b_plus_1000": lambda model: model.head.sigma_b.fill(1000.0),  # sigma = inf
     "sigma_b_minus_1000": lambda model: model.head.sigma_b.fill(-1000.0),  # sigma = 0
-    "trunk_weights_1e300": _saturate_trunk,  # NaN features
+    "sigma_b_708": lambda model: model.head.sigma_b.fill(708.0),  # mu +/- 8 sigma overflows
+    "trunk_weights_1e300": lambda model: _saturate(model.trunk),  # NaN features
 }
 
 
 class TestSaturatedCheckpoint:
-    """A mixture with a non-finite value or a deviation of 0 is a format error of its
-    checkpoint: exit 3, one line naming the file, no warning and nothing written."""
+    """Saturated weights that give non-finite latents, or a mixture with a non-finite value,
+    a deviation of 0 or a span beyond float64, are a format error of the checkpoint that
+    gave them: exit 3, one line naming that file, no warning and nothing written."""
+
+    @staticmethod
+    def run_on(run_dir, command, tiny_dataset, capsys):
+        """``command`` on ``run_dir``'s mdn_k02.json (and ae.json, if there): the exit code,
+        stderr, and the output directory it was given."""
+        ae = run_dir / "ae.json"
+        if command == "predict":
+            spectrum = run_dir.parent / "spectrum.txt"
+            spectrum.write_text(" ".join(map(str, dataset.load_dataset(tiny_dataset).spectra[0])))
+            out = run_dir.parent / "pred"
+            argv = ["predict", "--checkpoint", run_dir / "mdn_k02.json", "--spectrum-file",
+                    spectrum, "--top", 2, "--out", out, *(["--ae", ae] if ae.exists() else [])]
+        else:
+            write_csv(run_dir / "sweep_results.csv", transfer.SWEEP_RESULTS_COLUMNS,
+                      [[2, "none", 2, 0.5, 0.5, 0.5]])
+            out = run_dir / "report"
+            argv = ["report", "--run-dir", run_dir, "--dataset", tiny_dataset]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv)
+        return code, capsys.readouterr().err, out
 
     @pytest.mark.parametrize("command", ["predict", "report"])
     @pytest.mark.parametrize("saturate", sorted(SATURATED_CHECKPOINTS))
@@ -473,23 +497,25 @@ class TestSaturatedCheckpoint:
         run_dir.mkdir()
         checkpoint = run_dir / "mdn_k02.json"
         mdn.save_mdn(checkpoint, model)
-        if command == "predict":
-            spectrum = tmp_path / "spectrum.txt"
-            spectrum.write_text(" ".join(map(str, dataset.load_dataset(tiny_dataset).spectra[0])))
-            out = tmp_path / "pred"
-            argv = ["predict", "--checkpoint", checkpoint, "--spectrum-file", spectrum,
-                    "--top", 2, "--out", out]
-        else:
-            write_csv(run_dir / "sweep_results.csv", list(transfer.SWEEP_RESULTS_COLUMNS),
-                      [[2, "none", 2, 0.5, 0.5, 0.5]])
-            out = run_dir / "report"
-            argv = ["report", "--run-dir", run_dir, "--dataset", tiny_dataset]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run(*argv)
-        err = capsys.readouterr().err
+        code, err, out = self.run_on(run_dir, command, tiny_dataset, capsys)
         assert code == EXIT_IO
         assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_saturated_autoencoder_named(self, command, tiny_dataset, tmp_path, capsys):
+        """A latent model behind an encoder of +/-1e300 weights: the latents are NaN, and
+        the error names ae.json, not the mixture checkpoint."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        ae = autoencoder.init_ae(np.random.default_rng(0))
+        _saturate(ae.encoder)
+        autoencoder.save_ae(run_dir / "ae.json", ae)
+        model = mdn.build_mdn(autoencoder.ENCODER_WIDTHS[-1], 2, np.random.default_rng(1))
+        mdn.save_mdn(run_dir / "mdn_k02.json", model)
+        code, err, out = self.run_on(run_dir, command, tiny_dataset, capsys)
+        assert code == EXIT_IO
+        assert err.startswith(f"error: {run_dir / 'ae.json'}: ") and err.count("\n") == 1
         assert not out.exists()
 
 

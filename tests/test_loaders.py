@@ -48,8 +48,8 @@ def valid(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     ds = dataset.generate_dataset(10, seed=1)
     dataset.save_dataset(root / "dataset", ds)
-    (root / "spectrum").write_text(", ".join(nncore.fmt(v) for v in ds.spectra[0]))
-    nncore.write_csv(root / "sweep_results", list(transfer.SWEEP_RESULTS_COLUMNS),
+    (root / "spectrum").write_text(", ".join(format(v, ".17g") for v in ds.spectra[0]))
+    nncore.write_csv(root / "sweep_results", transfer.SWEEP_RESULTS_COLUMNS,
                      [[1, "tl1", 3, 0.25, 0.5, 0.75], [2, "tl1", 4, 0.125, 0.375, 0.5]])
     model = mdn.build_mdn(101, 3, np.random.default_rng(0), trunk_widths=[101, 4, 3])
     mdn.save_mdn(root / "checkpoint", model)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import string
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from specinv.nncore import (
     init_mlp,
 )
 from specinv.train import TrainConfig
-from util import finite_difference_grads, max_rel_error
+from util import csv_writer_bytes, finite_difference_grads, max_rel_error
 
 
 def silu(v):
@@ -427,6 +428,55 @@ class TestCheckpoint:
     def test_malformed_array_rejected(self, value, reason):
         with pytest.raises(nncore.CheckpointFormatError, match="^w " + re.escape(reason)):
             nncore.checkpoint_array(value, (2,), "w")
+
+
+# signed zero, the smallest subnormals, the largest finite doubles and the non-finite ones
+CSV_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   math.nan, math.inf, -math.inf]
+CSV_COLUMNS = {"rank": int, "tag": str, "x": float, "y": nncore.finite_float}
+# what a CSV writer's str cells hold: split tags, strategies, stages such as "k=3"
+IDENTIFIER = st.text(string.ascii_letters + string.digits + "_-=.", min_size=1, max_size=8)
+ANY_FLOAT = st.one_of(st.floats(), st.floats().map(np.float64), st.sampled_from(CSV_EDGE_FLOATS))
+CSV_ROWS = st.lists(st.tuples(
+    st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64)),
+    IDENTIFIER, ANY_FLOAT, ANY_FLOAT,
+), min_size=1, max_size=12)
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=CSV_ROWS)
+    @example(rows=[(i, "train", x, np.float64(-x)) for i, x in enumerate(CSV_EDGE_FLOATS)])
+    def test_bytes_match_the_csv_writer_oracle(self, rows, tmp_path):
+        path = tmp_path / "t.csv"
+        nncore.write_csv(path, CSV_COLUMNS, rows)
+        assert path.read_bytes() == csv_writer_bytes(list(CSV_COLUMNS), rows)
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=CSV_ROWS)
+    @example(rows=[(i, "val", x, np.float64(x)) for i, x in enumerate(CSV_EDGE_FLOATS)])
+    def test_read_csv_gives_back_every_bit(self, rows, tmp_path):
+        """Each float comes back with its float64 bits; a NaN, whose sign and payload the
+        text does not hold, comes back as a NaN."""
+        path = tmp_path / "t.csv"
+        nncore.write_csv(path, CSV_COLUMNS, rows)
+        back = nncore.read_csv(path, {"rank": int, "tag": str, "x": float, "y": float})
+        for row, got in zip(rows, back, strict=True):
+            assert (got["rank"], got["tag"]) == (row[0], row[1])
+            for want, value in zip(row[2:], (got["x"], got["y"])):
+                assert type(value) is float
+                if math.isnan(want):
+                    assert math.isnan(value)
+                else:
+                    assert np.float64(value).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+    def test_cell_that_would_need_quoting_rejected(self, char, tmp_path):
+        rows = [(1, "train", 0.5, 0.5), (2, f"a{char}b", 0.5, 0.5)]
+        with pytest.raises(ValueError, match="column tag: "):
+            nncore.write_csv(tmp_path / "t.csv", CSV_COLUMNS, rows)
 
 
 class TestDeterminism:

@@ -206,8 +206,8 @@ class TestSweep:
         arrays = toy_arrays(seed=3)
         res = sweep(arrays, 2, "tl2", self._cfg(max_epochs=12),
                     trunk_widths=[6, 8], n_targets=2)
-        k1_final_val = res.entry(1).log[-1][1]
-        k2_first_val = res.entry(2).log[0][1]
+        k1_final_val = res.entries[0].log[-1][1]
+        k2_first_val = res.entries[1].log[0][1]
         assert abs(k2_first_val - k1_final_val) < 1.0
 
     def test_invalid_k_max(self):

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: oracles and gradient checking."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -7,6 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+
+def csv_writer_bytes(header, rows):
+    """The bytes ``nncore.write_csv`` wrote before its row templates: ``csv.writer``, each
+    float cell, Python or numpy, through ``format(v, ".17g")`` and every other one through
+    ``str``.  The writer's oracle."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(
+        [format(v, ".17g") if isinstance(v, (float, np.floating)) else str(v) for v in row]
+        for row in rows
+    )
+    return buf.getvalue().encode("utf-8")
 
 
 def finite_difference_grads(loss_fn, params, h=1e-5):
