@@ -264,8 +264,8 @@ def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray,
     autoencoder at ``ae_path`` if any.
 
     Saturated weights can pass every format check yet give non-finite latents, or a mixture
-    with a non-finite value, a deviation of 0 or ``mu +/- 8 sigma`` beyond float64: a format
-    error of the checkpoint that gave it."""
+    with a non-finite value, or a peak density ``pi / (sqrt(2 pi) sigma)`` or a span of
+    ``mu +/- 8 sigma`` beyond float64: a format error of the checkpoint that gave it."""
     if ae_path and model.input_width == spectrum.shape[-1]:
         raise ValueError("this checkpoint takes spectra and needs no --ae")
     with np.errstate(all="ignore"):
@@ -276,10 +276,12 @@ def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray,
             raise ValueError(f"checkpoint expects input width {model.input_width}, got "
                              f"{x.shape[-1]}; models trained on latents need their autoencoder")
         mix = mdn.mixture_for(model, x)
+        peaks = mix.pi[:, None] / (np.sqrt(2.0 * np.pi) * mix.sigma)  # inf for a sigma of 0
         bounds = mix.mu + np.multiply.outer([-8.0, 8.0], mix.sigma)  # what marginal_grid spans
-    if not (np.isfinite(mix.pi).all() and np.isfinite(bounds).all() and mix.sigma.all()):
+        spans = np.ptp(bounds, axis=(0, 1))  # NaN or inf if any bound is
+    if not (np.isfinite(peaks).all() and np.isfinite(spans).all()):
         raise CheckpointFormatError(f"{checkpoint}: the mixture for this spectrum has non-finite "
-                                    f"values, a deviation of 0 or a span beyond float64")
+                                    f"values, or a peak density or span beyond float64")
     return mix
 
 
@@ -324,24 +326,24 @@ def cmd_report(args: argparse.Namespace) -> int:
     results_path = run_dir / "sweep_results.csv"
     if not results_path.exists():
         raise FileNotFoundError(f"{results_path} not found; run 'sweep' first")
-    rows = read_csv(results_path, transfer.SWEEP_RESULTS_COLUMNS)
-    ks = [row["K"] for row in rows]
+    results, _ = read_csv(results_path, transfer.SWEEP_RESULTS_COLUMNS)
+    ks = results["K"]
     if args.k is not None and args.k not in ks:
         raise ValueError(f"--k {args.k} is not a K of {results_path} ({ks})")
     # every file is read and checked before any figure is written
     log_paths = {k: run_dir / f"log_k{k:02d}.csv" for k in ks}
-    logs = {k: read_csv(path, log_columns("nll")) for k, path in log_paths.items() if path.exists()}
+    logs = {k: read_csv(path, log_columns("nll"))[0] for k, path in log_paths.items()
+            if path.exists()}
     marginals = _test_record_mixture(args, run_dir, ks) if args.dataset else None
     out_dir = Path(args.out) if args.out else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    strategy = rows[0]["strategy"]
+    strategy = results["strategy"][0]
     for k, log in logs.items():
-        epochs = [r["epoch"] for r in log]
         svg = svgplot.line_chart(
             [
-                ("train NLL", epochs, [r["train_nll"] for r in log]),
-                ("validation NLL", epochs, [r["val_nll"] for r in log]),
+                ("train NLL", log["epoch"], log["train_nll"]),
+                ("validation NLL", log["epoch"], log["val_nll"]),
             ],
             title=f"Loss curves, K={k} ({strategy})",
             x_label="epoch",
@@ -351,9 +353,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     svg = svgplot.line_chart(
         [
-            ("train", ks, [row["train_nll"] for row in rows]),
-            ("validation", ks, [row["val_nll"] for row in rows]),
-            ("test", ks, [row["test_nll"] for row in rows]),
+            ("train", ks, results["train_nll"]),
+            ("validation", ks, results["val_nll"]),
+            ("test", ks, results["test_nll"]),
         ],
         title=f"NLL vs number of components ({strategy})",
         x_label="K",

@@ -11,8 +11,6 @@ near-identical spectra (a deliberately multi-valued inverse problem).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import warnings
@@ -21,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nncore import DatasetFormatError, read_text, write_csv
+from .nncore import DatasetFormatError, read_csv, write_csv
 
 PARAM_NAMES = ("p", "w", "h1", "h2", "h3")
 PARAM_LOWER = np.array([305.0, 45.0, 150.0, 25.0, 80.0])
@@ -251,52 +249,19 @@ def save_dataset(path: str | Path, ds: LabeledDataset, seed: int | None = None) 
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
-    """Read and revalidate a dataset CSV; errors point at the offending line."""
-    path = Path(path)
-    designs, spectra, tags = [], [], []
-    expected_cols = len(DATASET_COLUMNS)
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise DatasetFormatError(f"{path}: empty file")
-        if header != list(DATASET_COLUMNS):
-            raise DatasetFormatError(
-                f"{path}: line 1: unexpected header (expected {expected_cols} columns "
-                f"p,w,h1,h2,h3,split,a_000..a_{N_WAVELENGTHS - 1:03d})"
-            )
-        lineno = reader.line_num  # the line the last record read ends on
-        starts = []  # the line each record starts on: a quoted cell may span lines
-        for row in reader:
-            starts.append(lineno + 1)
-            lineno = reader.line_num
-            if len(row) != expected_cols:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {expected_cols} columns, got {len(row)}"
-                )
-            try:
-                design = [float(v) for v in row[:5]]
-                spectrum = [float(v) for v in row[6:]]
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
-            split = row[5]
-            if split not in _SPLITS:
-                raise DatasetFormatError(f"{path}: line {lineno}: unknown split {split!r}")
-            designs.append(design)
-            spectra.append(spectrum)
-            tags.append(split)
-    except csv.Error as exc:  # a field over the csv module's size limit, say
-        raise DatasetFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not designs:
-        raise DatasetFormatError(f"{path}: no records")
-    designs, spectra = np.array(designs), np.array(spectra)
+    """A dataset CSV read through ``read_csv`` and revalidated: an unknown split tag, a
+    design that breaks the design rule or absorbance outside [0, 1] is a
+    ``DatasetFormatError`` naming the first such record by the line it starts on."""
+    table, starts = read_csv(path, DATASET_COLUMNS)
+    # one record per C-order row: BLAS results, and so trained bits, may depend on layout
+    designs = np.array([table[name] for name in PARAM_NAMES]).T.copy()
+    spectra = np.array([table[name] for name in ABSORBANCE_COLUMNS]).T.copy()
+    tags = np.array(table["split"], dtype=object)
     faults = design_faults(designs)
     faults[~valid_absorbance(spectra)] = "absorbance values must be finite and within [0, 1]"
+    for i in np.flatnonzero(~np.isin(tags, _SPLITS)):
+        faults[i] = f"unknown split {tags[i]!r}"
     bad = np.flatnonzero(faults != "")
     if bad.size:
         raise DatasetFormatError(f"{path}: line {starts[bad[0]]}: {faults[bad[0]]}")
-    return LabeledDataset(
-        designs=designs,
-        spectra=spectra,
-        split_tags=np.array(tags, dtype=object),
-    )
+    return LabeledDataset(designs=designs, spectra=spectra, split_tags=tags)

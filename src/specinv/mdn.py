@@ -338,8 +338,9 @@ def weighted_marginal_pdf(mix: MixtureParams, param_index: int, grid: np.ndarray
     t = np.asarray(grid, dtype=np.float64)[:, None]
     mu = mix.mu[None, :, param_index]
     sigma = mix.sigma[None, :, param_index]
-    z = (t - mu) / sigma
-    comps = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
+    with np.errstate(over="ignore"):  # z of inf, far out in a narrow component, gives 0
+        z = (t - mu) / sigma
+        comps = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
     return comps @ mix.pi
 
 
@@ -350,8 +351,9 @@ def marginal_grid(mix: MixtureParams, param_index: int) -> np.ndarray:
     lo = float(np.min(mu - 8.0 * sigma))
     hi = float(np.max(mu + 8.0 * sigma))
     step = float(np.min(sigma)) / 8.0
-    n = min(8192, max(1001, int(math.ceil((hi - lo) / step)) + 1))
-    return np.linspace(lo, hi, n)
+    # compare first: (hi - lo) / step overflows, or divides by 0, when sigmas span float64
+    cells = 8191 if hi - lo >= 8191 * step else math.ceil((hi - lo) / step)
+    return np.linspace(lo, hi, min(8192, max(1001, cells + 1)))
 
 
 # --- checkpoint io ---------------------------------------------------------------

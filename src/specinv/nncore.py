@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Callable
 
@@ -377,32 +378,56 @@ def finite_float(text: str) -> float:
     return value
 
 
-def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]) -> list[dict]:
-    """The rows of a ``write_csv`` file as dicts of ``columns``, each cell converted
-    by its column's function.  Text that is not UTF-8 or not CSV, a missing column, a
-    cell that does not convert, or a file without rows raises ``DatasetFormatError``
-    naming the file and line."""
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+_CSV_BLOCK = 128  # records converted at a time, while their cells are still in cache
+
+
+def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]
+             ) -> tuple[dict[str, list], list[int]]:
+    """A ``write_csv`` file of ``columns``: each column as the list of its cells, converted
+    by the column's function, and the line each record starts on (a quoted cell may span
+    lines).  The header must be exactly ``columns``.  Text that is not UTF-8 or not CSV, a
+    header that differs (naming the first column that does), a record of another length,
+    a cell that does not convert, or a file without rows raises ``DatasetFormatError``
+    naming the file and the line the record starts on."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    names = list(columns)
+    table = {name: [] for name in names}
+    starts, start = [], 1
+
+    def records():
+        nonlocal start
+        for record in reader:
+            starts.append(start)
+            start = reader.line_num + 1
+            if len(record) != len(names):
+                raise DatasetFormatError(f"{path}: line {starts[-1]}: expected {len(names)} "
+                                         f"columns, got {len(record)}")
+            yield record
+
     try:
-        missing = [name for name in columns if name not in (reader.fieldnames or ())]
-        if missing:
-            raise DatasetFormatError(f"{path}: line 1: missing column {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            rows.append({})
-            for name, convert in columns.items():
+        header = next(reader, [])
+        if header != names:
+            i, got, want = next((i, got, want) for i, (got, want)
+                                in enumerate(zip_longest(header, names)) if got != want)
+            raise DatasetFormatError(
+                f"{path}: line 1: column {i + 1} is {'missing' if got is None else repr(got)}, "
+                f"expected {want or 'the header to end'}")
+        start = reader.line_num + 1
+        rest = records()
+        while block := list(islice(rest, _CSV_BLOCK)):
+            for (name, convert), cells in zip(columns.items(), zip(*block)):
+                values = table[name]
                 try:
-                    rows[-1][name] = convert(row[name])
-                except (TypeError, ValueError):  # a short row holds None
-                    raise DatasetFormatError(
-                        f"{path}: line {reader.line_num}: cannot read {name} from {row[name]!r}"
-                    ) from None
+                    values.extend(map(convert, cells))
+                except ValueError:  # extend keeps the values before the cell that failed
+                    bad = len(values)
+                    raise DatasetFormatError(f"{path}: line {starts[bad]}: cannot read {name} "
+                                             f"from {cells[bad % _CSV_BLOCK]!r}") from None
     except csv.Error as exc:  # a field over the csv module's size limit, say
-        # the DictReader's own line_num moves only once a row is read
-        raise DatasetFormatError(f"{path}: line {reader.reader.line_num}: {exc}") from None
-    if not rows:
+        raise DatasetFormatError(f"{path}: line {start}: {exc}") from None
+    if not starts:
         raise DatasetFormatError(f"{path}: no rows after the header")
-    return rows
+    return table, starts
 
 
 def _json_fragments(obj, out: list[str], indent: int) -> None:

@@ -1,4 +1,5 @@
-"""The package's public surface: what ``specinv`` exports, and what README imports from it."""
+"""The package's public surface: what ``specinv`` exports, what README imports from it, and
+which of its modules may parse CSV."""
 
 import ast
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 import specinv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(specinv.__file__).resolve().parent
 
 
 def test_exports_resolve_and_cover_the_readme_example():
@@ -23,3 +25,16 @@ def test_exports_resolve_and_cover_the_readme_example():
     }
     assert imported  # the block still shows the library in use
     assert sorted(imported - set(specinv.__all__)) == []
+
+
+def test_only_nncore_imports_csv():
+    """``nncore.read_csv`` is the one CSV reader: another module that imports ``csv`` is
+    growing a second one."""
+    importers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "csv")
+    }
+    assert sorted(importers) == ["nncore.py"]

@@ -458,6 +458,8 @@ SATURATED_CHECKPOINTS = {
     "sigma_b_plus_1000": lambda model: model.head.sigma_b.fill(1000.0),  # sigma = inf
     "sigma_b_minus_1000": lambda model: model.head.sigma_b.fill(-1000.0),  # sigma = 0
     "sigma_b_708": lambda model: model.head.sigma_b.fill(708.0),  # mu +/- 8 sigma overflows
+    "sigma_b_707_5": lambda model: model.head.sigma_b.fill(707.5),  # hi - lo overflows
+    "sigma_b_minus_744": lambda model: model.head.sigma_b.fill(-744.0),  # pi / sigma overflows
     "trunk_weights_1e300": lambda model: _saturate(model.trunk),  # NaN features
 }
 
@@ -518,6 +520,21 @@ class TestSaturatedCheckpoint:
         assert err.startswith(f"error: {run_dir / 'ae.json'}: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_sigmas_far_apart_give_finite_marginals(self, tiny_dataset, tmp_path, capsys):
+        """Sigmas of about 2e-300 and 5e299 are each finite, with a finite peak density and
+        span: the marginals are written on the grid's full 8,192 points."""
+        model = mdn.build_mdn(101, 2, np.random.default_rng(0))
+        model.head.sigma_w.fill(0.0)
+        model.head.sigma_b.reshape(2, -1)[:] = [[-690.0], [690.0]]
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        mdn.save_mdn(run_dir / "mdn_k02.json", model)
+        code, err, out = self.run_on(run_dir, "report", tiny_dataset, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        for name in dataset.PARAM_NAMES:
+            table = np.loadtxt(out / f"marginal_{name}.csv", delimiter=",", skiprows=1)
+            assert table.shape == (8192, 2) and np.isfinite(table).all()
+
 
 class TestReport:
     @pytest.fixture()
@@ -572,10 +589,11 @@ class TestReport:
 
     @pytest.mark.parametrize("name,edit,where", [
         ("sweep_results.csv",
-         lambda lines: [line.split(",", 1)[1] for line in lines], "line 1: missing column K"),
+         lambda lines: [line.split(",", 1)[1] for line in lines],
+         "line 1: column 1 is 'strategy', expected K"),
         ("log_k01.csv",
          lambda lines: [lines[0].replace("_nll", "_mse")] + lines[1:],
-         "line 1: missing column train_nll, val_nll"),
+         "line 1: column 2 is 'train_mse', expected train_nll"),
         ("log_k01.csv",
          lambda lines: lines[:1] + ["1,abc," + lines[1].split(",")[2]] + lines[2:],
          "line 2: cannot read train_nll from 'abc'"),
@@ -585,8 +603,13 @@ class TestReport:
         ("log_k01.csv",
          lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",-inf"] + lines[2:],
          "line 2: cannot read val_nll from '-inf'"),
+        ("sweep_results.csv",  # the strategy cell of K=1 holds a line break: lines 2-3
+         lambda lines: lines[:1] + [lines[1].replace(",tl2,", ',"tl2\n",').rsplit(",", 1)[0]
+                                    + ",abc"] + lines[2:],
+         "line 2: cannot read test_nll from 'abc'"),
     ], ids=["results_without_K", "log_with_mse_columns", "non_numeric_train_nll",
-            "header_only_results", "nan_test_nll", "infinite_val_nll"])
+            "header_only_results", "nan_test_nll", "infinite_val_nll",
+            "bad_nll_in_a_two_line_record"])
     def test_malformed_run_file(self, name, edit, where, tiny_dataset, finished_run, capsys):
         path = finished_run / name
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")

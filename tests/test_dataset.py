@@ -246,20 +246,31 @@ class TestPersistence:
             load_dataset(path)
 
     @pytest.mark.parametrize("record,cells,message", [
-        (3, {8: "oops"}, "line 6: could not convert string to float: 'oops'"),
+        (3, {8: "oops"}, "line 6: cannot read a_002 from 'oops'"),
         (3, {0: "310.0", 1: "150.0"}, "line 6: p - w = 160 violates"),
         (0, {10: "1.5"}, "line 2: absorbance values must be finite and within [0, 1]"),
-    ], ids=["bad_cell_after", "design_fault_after", "fault_of_the_two_line_record"])
+        (0, {8: "oops"}, "line 2: cannot read a_002 from 'oops'"),
+        (0, {5: "holdout"}, "line 2: unknown split 'holdout'"),
+        (0, {1: "999"}, "line 2: design ["),
+        (0, {106: None}, "line 2: expected 107 columns, got 106"),
+    ], ids=["bad_cell_after", "design_fault_after", "fault_of_the_two_line_record",
+            "bad_number_in_the_two_line_record", "unknown_split_in_the_two_line_record",
+            "design_fault_in_the_two_line_record", "short_two_line_record"])
     def test_lines_counted_past_a_cell_that_spans_two_lines(self, record, cells, message,
                                                             tmp_path):
-        """The first record's p cell is written as "305\\n": that record takes lines 2-3."""
+        """The first record's p cell is quoted with a line break in it: that record takes
+        lines 2-3, and each fault is named by the line its record starts on.  A cell given as
+        None is dropped."""
         path = tmp_path / "data.csv"
         save_dataset(path, build_dataset(generate_designs(12, seed=1), seed=1))
         lines = path.read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
         rows[0][0] = f'"{rows[0][0]}\n"'
         for column, value in cells.items():
-            rows[record][column] = value
+            if value is None:
+                del rows[record][column]
+            else:
+                rows[record][column] = value
         path.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
         with pytest.raises(DatasetFormatError) as exc:
             load_dataset(path)

@@ -384,6 +384,27 @@ class TestWeightedMarginal:
         want = np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi)
         np.testing.assert_allclose(dens, want, atol=1e-9)
 
+    @pytest.mark.parametrize("sigmas", [(3e-300, 3e299), (5e-324, 1.0)],
+                             ids=["sigmas_spanning_float64", "sigma_of_5e-324"])
+    def test_grid_capped_when_sigmas_lie_far_apart(self, sigmas):
+        """Over 8,191 steps of the smallest sigma / 8 between the ends caps the grid at
+        8,192 points, also where that ratio overflows or the step underflows to 0."""
+        mix = MixtureParams(pi=np.array([0.5, 0.5]), mu=np.array([[0.25], [0.75]]),
+                            sigma=np.array(sigmas)[:, None])
+        grid = mdn.marginal_grid(mix, 0)
+        ends = mix.mu[:, 0] + np.multiply.outer([-8.0, 8.0], mix.sigma[:, 0])
+        assert len(grid) == 8192 and np.isfinite(grid).all()
+        assert (grid[0], grid[-1]) == (ends[0].min(), ends[1].max())
+
+    def test_density_of_sigmas_spanning_float64_is_finite(self):
+        """A z beyond float64, far out in the narrow component, adds 0 and warns nothing."""
+        mix = MixtureParams(pi=np.array([0.5, 0.5]), mu=np.array([[0.25], [0.75]]),
+                            sigma=np.array([[3e-300], [3e299]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens = weighted_marginal_pdf(mix, 0, mdn.marginal_grid(mix, 0))
+        assert np.isfinite(dens).all() and dens.max() > 0.0
+
     def test_bad_param_index(self):
         mix = MixtureParams(pi=np.array([1.0]), mu=np.zeros((1, 2)), sigma=np.ones((1, 2)))
         with pytest.raises(ValueError, match="param_index"):

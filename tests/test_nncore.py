@@ -462,10 +462,11 @@ class TestWriteCsv:
         text does not hold, comes back as a NaN."""
         path = tmp_path / "t.csv"
         nncore.write_csv(path, CSV_COLUMNS, rows)
-        back = nncore.read_csv(path, {"rank": int, "tag": str, "x": float, "y": float})
-        for row, got in zip(rows, back, strict=True):
-            assert (got["rank"], got["tag"]) == (row[0], row[1])
-            for want, value in zip(row[2:], (got["x"], got["y"])):
+        back, starts = nncore.read_csv(path, {"rank": int, "tag": str, "x": float, "y": float})
+        assert starts == list(range(2, len(rows) + 2))
+        for row, *got in zip(rows, back["rank"], back["tag"], back["x"], back["y"], strict=True):
+            assert got[:2] == [row[0], row[1]]
+            for want, value in zip(row[2:], got[2:]):
                 assert type(value) is float
                 if math.isnan(want):
                     assert math.isnan(value)

@@ -253,11 +253,10 @@ class TestSweepCsv:
                     trunk_widths=[6, 8], n_targets=2)
         path = tmp_path / "sweep_results.csv"
         transfer.write_sweep_results(path, res)
-        rows = nncore.read_csv(path, transfer.SWEEP_RESULTS_COLUMNS)
-        assert [r["K"] for r in rows] == [1, 2]
-        for row, entry in zip(rows, res.entries):
-            assert row["epochs"] == entry.epochs
-            assert row["val_nll"] == entry.val_nll
+        results, _ = nncore.read_csv(path, transfer.SWEEP_RESULTS_COLUMNS)
+        assert results["K"] == [1, 2]
+        assert results["epochs"] == [entry.epochs for entry in res.entries]
+        assert results["val_nll"] == [entry.val_nll for entry in res.entries]
         header = path.read_text().splitlines()[0]
         assert "seconds" not in header  # timing lives in its own file
 
