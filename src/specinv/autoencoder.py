@@ -75,11 +75,10 @@ def train_ae(
         enc_grads, _ = nncore.backward(model.encoder, enc_tape, g_latent, input_gradient=False)
         return loss, enc_grads + dec_grads
 
-    epochs, log, best = fit(
-        model.parameters(), train_spectra.shape[0], batch_loss_and_grads,
+    return fit(
+        model, train_spectra.shape[0], batch_loss_and_grads,
         lambda: reconstruction_mse(model, val_spectra), config, shuffle_rng,
     )
-    return TrainResult(model=model, epochs=epochs, log=log, best_val_loss=best)
 
 
 # --- checkpoint io --------------------------------------------------------------

@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +43,9 @@ class RunConfig(TrainConfig):
     dataset: str = ""
     k: int = 1
     k_max: int = 10
-    strategy: str = "none"
-    autoencoder: bool = False
+    strategy: str = field(default="none", metadata={"choices": transfer.STRATEGIES})
+    autoencoder: bool = field(default=False, metadata={
+        "help": "train an autoencoder first and sweep on 10-dim latents"})
     out: str = "run"
 
     def __post_init__(self):
@@ -69,8 +69,7 @@ def parse_config_file(path: str | Path, command: str) -> dict:
     A ``command`` line, which ``write_config`` records, must name ``command``,
     the subcommand being run, so a run's own config.txt replays it.
     """
-    defaults = RunConfig()
-    types = {f.name: type(getattr(defaults, f.name)) for f in dataclasses.fields(RunConfig)}
+    types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     values = {}
     try:
         text = read_text(path)
@@ -218,14 +217,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ds, arrays = _load_arrays(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ae_seconds = None
+    ae_fit = None
     if cfg.autoencoder:
-        t0 = time.perf_counter()
         shuffle_rng, rng = ae_streams(cfg.seed)
         ae_fit = autoencoder.train_ae(
             ds.spectra_for("train"), ds.spectra_for("val"), cfg, shuffle_rng=shuffle_rng, rng=rng
         )
-        ae_seconds = time.perf_counter() - t0
         autoencoder.save_ae(out_dir / "ae.json", ae_fit.model)
         _write_log_csv(out_dir / "ae_log.csv", ae_fit.log, "mse")
         latents = autoencoder.encode(ae_fit.model, ds.spectra)
@@ -248,7 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     result = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg, on_trained=on_trained)
     transfer.write_sweep_results(out_dir / "sweep_results.csv", result)
-    transfer.write_sweep_timing(out_dir / "sweep_timing.csv", result, ae_seconds=ae_seconds)
+    transfer.write_sweep_timing(out_dir / "sweep_timing.csv", result, ae_fit=ae_fit)
     write_config(out_dir / "config.txt", cfg, "sweep")
     for entry in result.entries:
         print(
@@ -409,19 +406,20 @@ def _write_marginals(out_dir: Path, k: int, mix: mdn.MixtureParams, truth: np.nd
 # --- argument parsing -------------------------------------------------------------
 
 
-def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
+# the one RunConfig field whose flag is not "--" plus its name with dashes
+FLAG_SPELLINGS = {"dropout_rate": "--dropout"}
+
+
+def _add_setting_flags(p: argparse.ArgumentParser, names: list[str]) -> None:
+    """``--config`` plus one flag per RunConfig field in ``names``; a flag not given is None."""
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--min-delta", dest="min_delta", type=float, default=None)
-    p.add_argument("--dropout", dest="dropout_rate", type=float, default=None)
-    p.add_argument(
-        "--warm-start-jitter", dest="warm_start_jitter", type=float, default=None,
-        help="seeded perturbation scale for a freshly cloned component",
-    )
+    for f in dataclasses.fields(RunConfig):
+        if f.name in names:
+            # type(f.default): under postponed annotations f.type is a string
+            kind = ({"action": "store_const", "const": True} if type(f.default) is bool
+                    else {"type": type(f.default)})
+            p.add_argument(FLAG_SPELLINGS.get(f.name, "--" + f.name.replace("_", "-")),
+                           dest=f.name, default=None, **kind, **f.metadata)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -433,28 +431,17 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic labeled dataset")
     p.add_argument("--samples", type=int, default=dataset.DEFAULT_SAMPLE_COUNT)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", help="key = value config file; flags override it")
+    _add_setting_flags(p, ["seed"])
     p.add_argument("--out", dest="out_file", type=Path, default=Path("dataset.csv"))
     p.set_defaults(func=cmd_gen_data)
 
+    settings = [f.name for f in dataclasses.fields(RunConfig)]
     p = sub.add_parser("train", help="train a single K-component model from scratch")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", default=None)
-    _add_common_train_flags(p)
+    _add_setting_flags(p, [n for n in settings if n not in ("k_max", "strategy", "autoencoder")])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="train models for K = 1..k_max")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument("--strategy", choices=transfer.STRATEGIES, default=None)
-    p.add_argument(
-        "--autoencoder", action="store_const", const=True, default=None,
-        help="train an autoencoder first and sweep on 10-dim latents",
-    )
-    p.add_argument("--out", default=None)
-    _add_common_train_flags(p)
+    _add_setting_flags(p, [n for n in settings if n != "k"])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("predict", help="rank candidate designs for a spectrum")

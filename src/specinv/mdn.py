@@ -367,14 +367,7 @@ def mdn_to_dict(model: MdnModel) -> dict:
         "n_components": head.n_components,
         "n_targets": head.n_targets,
         "trunk": nncore.mlp_to_dict(model.trunk),
-        "head": {
-            "pi_w": head.pi_w,
-            "pi_b": head.pi_b,
-            "mu_w": head.mu_w,
-            "mu_b": head.mu_b,
-            "sigma_w": head.sigma_w,
-            "sigma_b": head.sigma_b,
-        },
+        "head": dict(vars(head)),  # MdnHead's fields, in their declared order
     }
 
 

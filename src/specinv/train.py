@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -68,7 +69,8 @@ class TrainConfig:
     min_delta: float = 1e-4
     dropout_rate: float = 0.2
     seed: int = 0
-    warm_start_jitter: float = 0.1
+    warm_start_jitter: float = field(default=0.1, metadata={
+        "help": "seeded perturbation scale for a freshly cloned component"})
 
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience"):
@@ -106,8 +108,9 @@ class SupervisedArrays:
 class TrainResult:
     model: MdnModel | AeModel
     epochs: int
-    log: list[tuple[float, float]] = field(default_factory=list)  # (train_loss, val_loss)
-    best_val_loss: float = math.nan
+    log: list[tuple[float, float]]  # (train_loss, val_loss)
+    best_val_loss: float
+    seconds: float
 
 
 def arrays_from_dataset(ds, x_matrix: np.ndarray | None = None) -> SupervisedArrays:
@@ -129,18 +132,22 @@ def arrays_from_dataset(ds, x_matrix: np.ndarray | None = None) -> SupervisedArr
 
 
 def fit(
-    params: list[np.ndarray],
+    model: MdnModel | AeModel,
     n_train: int,
     batch_loss_and_grads: Callable[[np.ndarray], tuple[float, list[np.ndarray]]],
     val_loss: Callable[[], float],
     config: TrainConfig,
     shuffle_rng: np.random.Generator,
-) -> tuple[int, list[tuple[float, float]], float]:
+) -> TrainResult:
     """Adam on shuffled minibatches until early stopping; restores the best weights.
 
     ``batch_loss_and_grads(idx)`` gives the mean loss over training rows ``idx``
-    and gradients ordered like ``params``.  Returns (epochs, log, best_val_loss).
+    and gradients ordered like ``model.parameters()``.  Returns a ``TrainResult``: the model
+    at its best-validation weights, the epochs run, the (mean train loss, validation loss) of
+    each epoch, the best validation loss, and the wall time of this call in seconds.
     """
+    t0 = time.perf_counter()
+    params = model.parameters()
     adam = nncore.adam_init(params, learning_rate=config.learning_rate)
     stopper = EarlyStopping(
         patience=config.patience, min_delta=config.min_delta, max_epochs=config.max_epochs
@@ -159,7 +166,7 @@ def fit(
         if stopper.update(val, nncore.snapshot_params(params)):
             break
     nncore.restore_params(params, stopper.best_checkpoint)
-    return stopper.epoch, log, stopper.best_val_loss
+    return TrainResult(model, stopper.epoch, log, stopper.best_val_loss, time.perf_counter() - t0)
 
 
 def train_mdn(
@@ -189,8 +196,4 @@ def train_mdn(
             raise TrainingDivergedError(f"validation loss {loss!r} is at the loss ceiling")
         return loss
 
-    epochs, log, best = fit(
-        model.parameters(), data.train_x.shape[0], batch_loss_and_grads, val_loss, config,
-        shuffle_rng,
-    )
-    return TrainResult(model=model, epochs=epochs, log=log, best_val_loss=best)
+    return fit(model, data.train_x.shape[0], batch_loss_and_grads, val_loss, config, shuffle_rng)

@@ -11,7 +11,6 @@ deterministic).
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -26,6 +25,7 @@ from .train import (
     ROLE_WARM_JITTER,
     SupervisedArrays,
     TrainConfig,
+    TrainResult,
     child_rng,
     model_streams,
     train_mdn,
@@ -149,17 +149,15 @@ def sweep(
             perturb_new_component(
                 model, child_rng(config.seed, k, ROLE_WARM_JITTER), config.warm_start_jitter
             )
-        t0 = time.perf_counter()
         try:
             fit = train_mdn(model, data, config, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"K={k}: {exc}") from exc
-        seconds = time.perf_counter() - t0
         entry = SweepEntry(
             k=k,
             strategy=strategy,
             epochs=fit.epochs,
-            seconds=seconds,
+            seconds=fit.seconds,
             train_nll=mdn.batch_nll(model, data.train_x, data.train_y),
             val_nll=fit.best_val_loss,
             test_nll=mdn.batch_nll(model, data.test_x, data.test_y),
@@ -191,9 +189,9 @@ def write_sweep_results(path: str | Path, result: SweepResult) -> None:
 
 
 def write_sweep_timing(
-    path: str | Path, result: SweepResult, ae_seconds: float | None = None
+    path: str | Path, result: SweepResult, ae_fit: TrainResult | None = None
 ) -> None:
-    rows = [] if ae_seconds is None else [["ae_train", "-", ae_seconds]]
+    rows = [] if ae_fit is None else [["ae_train", "-", ae_fit.seconds]]
     rows += [[f"k={e.k}", e.strategy, e.seconds] for e in result.entries]
     strategy = result.entries[0].strategy if result.entries else "-"
     rows.append(["total", strategy, sum(row[2] for row in rows)])

@@ -58,28 +58,20 @@ def tl1_sweep(desk_arrays) -> TimedSweep:
     return _timed_sweep(desk_arrays, 10, transfer.STRATEGY_TL1)
 
 
-@dataclass
-class TrainedAe:
-    fit: TrainResult
-    wall_seconds: float
-
-
 @pytest.fixture(scope="session")
-def trained_ae(desk_dataset) -> TrainedAe:
-    t0 = time.perf_counter()
+def trained_ae(desk_dataset) -> TrainResult:
     shuffle_rng, rng = ae_streams(ACCEPT_SEED)
-    fit = autoencoder.train_ae(
+    return autoencoder.train_ae(
         desk_dataset.spectra_for("train"),
         desk_dataset.spectra_for("val"),
         accept_config(),
         shuffle_rng=shuffle_rng,
         rng=rng,
     )
-    return TrainedAe(fit=fit, wall_seconds=time.perf_counter() - t0)
 
 
 @pytest.fixture(scope="session")
 def ae_sweep(desk_dataset, trained_ae) -> TimedSweep:
-    latents = autoencoder.encode(trained_ae.fit.model, desk_dataset.spectra)
+    latents = autoencoder.encode(trained_ae.model, desk_dataset.spectra)
     arrays = arrays_from_dataset(desk_dataset, x_matrix=latents)
     return _timed_sweep(arrays, 5, transfer.STRATEGY_TL1)

@@ -230,11 +230,11 @@ def test_criterion_6_multi_valued_recovery(tl1_sweep):
 
 def test_criterion_7_autoencoder(desk_dataset, trained_ae, tl1_sweep, ae_sweep):
     """The latent pipeline stays functional: bounded degradation per K."""
-    fit = trained_ae.fit
+    val_mse = trained_ae.best_val_loss
     baseline = mean_baseline_mse(
         desk_dataset.spectra_for("train"), desk_dataset.spectra_for("val")
     )
-    recon_ok = fit.best_val_loss < baseline and fit.best_val_loss <= AE_VAL_MSE_THRESHOLD
+    recon_ok = val_mse < baseline and val_mse <= AE_VAL_MSE_THRESHOLD
     degradation_ok = True
     details = []
     for k in range(1, 6):
@@ -246,7 +246,7 @@ def test_criterion_7_autoencoder(desk_dataset, trained_ae, tl1_sweep, ae_sweep):
         7,
         recon_ok and degradation_ok,
         "autoencoder beats the mean baseline; latent sweep within 25% per K",
-        f"val MSE {fit.best_val_loss:.2e} vs baseline {baseline:.2e}; fd ratios {' '.join(details)}",
+        f"val MSE {val_mse:.2e} vs baseline {baseline:.2e}; fd ratios {' '.join(details)}",
     )
 
 

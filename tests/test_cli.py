@@ -1,5 +1,6 @@
 """End-to-end command-line behavior on tiny datasets."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -782,6 +783,47 @@ class TestSettings:
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and "must be" in err and err.count("\n") == 1
         assert not out.exists()
+
+
+SETTING_NAMES = {f.name for f in dataclasses.fields(cli.RunConfig)}
+# the flags that train and sweep share, spelled as they have always been
+TRAIN_FLAGS = {"--config", "--seed", "--batch-size", "--learning-rate", "--max-epochs",
+               "--patience", "--min-delta", "--dropout", "--warm-start-jitter", "--dataset",
+               "--out"}
+FLAG_INVENTORY = [
+    ("sweep", SETTING_NAMES - {"k"} | {"config"},
+     TRAIN_FLAGS | {"--k-max", "--strategy", "--autoencoder"}),
+    ("train", SETTING_NAMES - {"k_max", "strategy", "autoencoder"} | {"config"},
+     TRAIN_FLAGS | {"--k"}),
+    ("gen-data", {"seed", "config", "samples", "out_file"},
+     {"--seed", "--config", "--samples", "--out"}),
+]
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    parser = cli.make_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+class TestFlagInventory:
+    @pytest.mark.parametrize("command,dests,flags", FLAG_INVENTORY,
+                             ids=[c for c, _, _ in FLAG_INVENTORY])
+    def test_options_of_each_command(self, command, dests, flags):
+        options = [a for a in _subparser(command)._actions if a.dest != "help"]
+        assert {a.dest for a in options} == dests
+        assert {s for a in options for s in a.option_strings} == flags
+        assert all(len(a.option_strings) == 1 for a in options)
+        if "dropout_rate" in dests:
+            dropout = next(a for a in options if a.dest == "dropout_rate")
+            assert dropout.option_strings == ["--dropout"]
+
+    def test_sweep_help_keeps_choices_and_help_texts(self):
+        text = " ".join(_subparser("sweep").format_help().split())
+        assert "--strategy {none,tl1,tl2}" in text
+        assert "--autoencoder train an autoencoder first and sweep on 10-dim latents" in text
+        assert ("--warm-start-jitter WARM_START_JITTER seeded perturbation scale for a freshly "
+                "cloned component") in text
 
 
 class TestExitCodes:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from specinv import mdn, nncore, transfer
+from specinv import autoencoder, dataset, mdn, nncore, transfer
 from specinv.mdn import build_mdn, mixture_for
 from specinv.nncore import TrainingDivergedError
-from specinv.train import SupervisedArrays, TrainConfig, train_mdn
+from specinv.train import SupervisedArrays, TrainConfig, TrainResult, train_mdn
 from specinv.transfer import choose_donor, grow, sweep
 from util import component_pdf, nll_of
 
@@ -266,8 +266,33 @@ class TestSweepCsv:
                     TrainConfig(batch_size=16, max_epochs=4, seed=3),
                     trunk_widths=[6, 8], n_targets=2)
         path = tmp_path / "sweep_timing.csv"
-        transfer.write_sweep_timing(path, res, ae_seconds=1.5)
+        ae_fit = TrainResult(model=None, epochs=0, log=[], best_val_loss=math.nan, seconds=1.5)
+        transfer.write_sweep_timing(path, res, ae_fit=ae_fit)
         lines = path.read_text().splitlines()
         assert lines[0] == "stage,strategy,seconds"
         stages = [line.split(",")[0] for line in lines[1:]]
         assert stages == ["ae_train", "k=1", "k=2", "total"]
+        assert lines[1] == "ae_train,-,1.5"
+
+    def test_every_fit_is_timed(self, tmp_path):
+        """train_mdn, train_ae and each sweep entry carry their fit's wall time, and
+        sweep_timing.csv writes exactly those seconds."""
+        cfg = TrainConfig(batch_size=16, max_epochs=3, seed=3)
+        arrays = toy_arrays(seed=6)
+        mdn_fit = train_mdn(toy_model(2), arrays, cfg, shuffle_rng=np.random.default_rng(1),
+                            dropout_rng=np.random.default_rng(2))
+        spectra = dataset.surrogate_spectra(
+            np.array([d.to_array() for d in dataset.generate_designs(12, seed=0)])
+        )
+        ae_fit = autoencoder.train_ae(spectra[:8], spectra[8:], cfg,
+                                      shuffle_rng=np.random.default_rng(1),
+                                      rng=np.random.default_rng(2))
+        res = sweep(arrays, 2, "tl1", cfg, trunk_widths=[6, 8], n_targets=2)
+        fits = [mdn_fit, ae_fit, *res.entries]
+        for fit in fits:
+            assert math.isfinite(fit.seconds) and fit.seconds > 0
+        path = tmp_path / "sweep_timing.csv"
+        transfer.write_sweep_timing(path, res, ae_fit=ae_fit)
+        timing, _ = nncore.read_csv(path, {"stage": str, "strategy": str, "seconds": float})
+        assert timing["stage"] == ["ae_train", "k=1", "k=2", "total"]
+        assert timing["seconds"][:3] == [fit.seconds for fit in fits[1:]]
