@@ -29,7 +29,7 @@ from .mdn import (
 )
 from .nncore import AdamState, EarlyStopping, MlpModel, TrainingDivergedError
 from .train import TrainConfig, arrays_from_dataset, train_mdn
-from .transfer import SweepResult, grow, sweep
+from .transfer import grow, sweep
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "MdnModel",
     "MixtureParams",
     "MlpModel",
-    "SweepResult",
     "TrainConfig",
     "TrainingDivergedError",
     "arrays_from_dataset",

@@ -163,8 +163,8 @@ def read_spectrum_file(path: str | Path) -> np.ndarray:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     samples = args.samples
-    if samples < 1:
-        raise ValueError("--samples must be >= 1")
+    if samples < dataset.MIN_RECORDS:
+        raise ValueError(f"--samples must be >= {dataset.MIN_RECORDS}, got {samples}")
     out = args.out_file
     out.parent.mkdir(parents=True, exist_ok=True)
     ds = dataset.generate_dataset(samples, seed=cfg.seed)
@@ -196,8 +196,9 @@ def _load_arrays(cfg: RunConfig):
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    if cfg.strategy != transfer.STRATEGY_NONE:
-        raise ValueError("train fits a single model from scratch; use 'sweep' for tl1/tl2")
+    if cfg.strategy != transfer.STRATEGY_NONE or cfg.autoencoder:
+        raise ValueError("train fits a single model from scratch on spectra; "
+                         "use 'sweep' for tl1/tl2 or an autoencoder")
     ds, arrays = _load_arrays(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,14 +244,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         mdn.save_mdn(out_dir / f"mdn_k{entry.k:02d}.json", entry.model)
         _write_log_csv(out_dir / f"log_k{entry.k:02d}.csv", entry.log, "nll")
 
-    result = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg, on_trained=on_trained)
-    transfer.write_sweep_results(out_dir / "sweep_results.csv", result)
-    transfer.write_sweep_timing(out_dir / "sweep_timing.csv", result, ae_fit=ae_fit)
+    entries = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg, on_trained=on_trained)
+    transfer.write_sweep_results(out_dir / "sweep_results.csv", entries)
+    transfer.write_sweep_timing(out_dir / "sweep_timing.csv", entries, ae_fit=ae_fit)
     write_config(out_dir / "config.txt", cfg, "sweep")
-    for entry in result.entries:
+    for entry in entries:
         print(
             f"K={entry.k}: {entry.epochs} epochs, "
-            f"val NLL {entry.val_nll:.6f}, test NLL {entry.test_nll:.6f}"
+            f"val NLL {entry.best_val_loss:.6f}, test NLL {entry.test_nll:.6f}"
         )
     return EXIT_OK
 
@@ -376,9 +377,11 @@ def _test_record_mixture(args, run_dir: Path, ks: list[int]):
     checkpoint = run_dir / f"mdn_k{k:02d}.json"
     model = mdn.load_mdn(checkpoint)
     record = test_idx[args.test_index]
+    # only a latent model's: a spectrum sweep leaves an earlier --autoencoder sweep's ae.json
     ae_path = run_dir / "ae.json"
+    latent = model.input_width != dataset.N_WAVELENGTHS
     mix = _spectrum_mixture(model, checkpoint, ds.spectra[record],
-                            ae_path if ae_path.exists() else None)
+                            ae_path if latent and ae_path.exists() else None)
     return k, mix, ds.designs[record]
 
 

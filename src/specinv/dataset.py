@@ -165,6 +165,7 @@ SPLIT_TRAIN = "train"
 SPLIT_VAL = "val"
 SPLIT_TEST = "test"
 _SPLITS = (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)
+MIN_RECORDS = 10  # the fewest that give every split a row
 
 
 def split_counts(n: int) -> tuple[int, int, int]:
@@ -176,8 +177,8 @@ def split_counts(n: int) -> tuple[int, int, int]:
 
 def assign_splits(n: int, seed: int) -> np.ndarray:
     """Shuffled per-record split tags; deterministic per seed."""
-    if n < 10:
-        raise ValueError(f"need at least 10 records to split, got {n}")
+    if n < MIN_RECORDS:
+        raise ValueError(f"need at least {MIN_RECORDS} records to split, got {n}")
     n_train, n_val, n_test = split_counts(n)
     tags = np.array(
         [SPLIT_TRAIN] * n_train + [SPLIT_VAL] * n_val + [SPLIT_TEST] * n_test, dtype=object

@@ -11,7 +11,7 @@ deterministic).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -99,21 +99,13 @@ def perturb_new_component(model: MdnModel, rng: np.random.Generator, scale: floa
 
 
 @dataclass
-class SweepEntry:
+class SweepEntry(TrainResult):
+    """One K of a sweep: its fit (``best_val_loss`` is the val NLL) and its train/test NLL."""
+
     k: int
     strategy: str
-    epochs: int
-    seconds: float
     train_nll: float
-    val_nll: float
     test_nll: float
-    model: MdnModel
-    log: list[tuple[float, float]] = field(default_factory=list)
-
-
-@dataclass
-class SweepResult:
-    entries: list[SweepEntry] = field(default_factory=list)  # K = 1, 2, ... in order
 
 
 def sweep(
@@ -124,19 +116,19 @@ def sweep(
     trunk_widths: list[int] | None = None,
     n_targets: int = mdn.N_DESIGN_PARAMS,
     on_trained: Callable[[SweepEntry], None] | None = None,
-) -> SweepResult:
+) -> list[SweepEntry]:
     """Train models for K = 1..k_max, warm-starting each K from K-1 under tl1/tl2.
 
-    K=1 always trains from scratch.  The fresh-init baseline re-seeds per K
-    (base seed + K) so its runs are independent; transfer runs are sequential
-    by construction.  ``on_trained`` gets each K's entry as soon as its model is
-    final, before the next K trains.
+    Returns one entry per K, in K order.  K=1 always trains from scratch.  The
+    fresh-init baseline re-seeds per K (base seed + K) so its runs are
+    independent; transfer runs are sequential by construction.  ``on_trained``
+    gets each K's entry as soon as its model is final, before the next K trains.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    result = SweepResult()
+    entries: list[SweepEntry] = []
     prev_model: MdnModel | None = None
     for k in range(1, k_max + 1):
         init_rng, shuffle_rng, dropout_rng = model_streams(config.seed, k)
@@ -153,22 +145,14 @@ def sweep(
             fit = train_mdn(model, data, config, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"K={k}: {exc}") from exc
-        entry = SweepEntry(
-            k=k,
-            strategy=strategy,
-            epochs=fit.epochs,
-            seconds=fit.seconds,
-            train_nll=mdn.batch_nll(model, data.train_x, data.train_y),
-            val_nll=fit.best_val_loss,
-            test_nll=mdn.batch_nll(model, data.test_x, data.test_y),
-            model=model,
-            log=fit.log,
-        )
-        result.entries.append(entry)
+        entry = SweepEntry(**vars(fit), k=k, strategy=strategy,
+                           train_nll=mdn.batch_nll(model, data.train_x, data.train_y),
+                           test_nll=mdn.batch_nll(model, data.test_x, data.test_y))
+        entries.append(entry)
         if on_trained is not None:
             on_trained(entry)
         prev_model = model
-    return result
+    return entries
 
 
 # --- CSV emission ----------------------------------------------------------------
@@ -183,17 +167,17 @@ SWEEP_RESULTS_COLUMNS = {
 }
 
 
-def write_sweep_results(path: str | Path, result: SweepResult) -> None:
-    rows = ([e.k, e.strategy, e.epochs, e.train_nll, e.val_nll, e.test_nll] for e in result.entries)
+def write_sweep_results(path: str | Path, entries: list[SweepEntry]) -> None:
+    rows = ([e.k, e.strategy, e.epochs, e.train_nll, e.best_val_loss, e.test_nll] for e in entries)
     write_csv(path, SWEEP_RESULTS_COLUMNS, rows)
 
 
 def write_sweep_timing(
-    path: str | Path, result: SweepResult, ae_fit: TrainResult | None = None
+    path: str | Path, entries: list[SweepEntry], ae_fit: TrainResult | None = None
 ) -> None:
     rows = [] if ae_fit is None else [["ae_train", "-", ae_fit.seconds]]
-    rows += [[f"k={e.k}", e.strategy, e.seconds] for e in result.entries]
-    strategy = result.entries[0].strategy if result.entries else "-"
+    rows += [[f"k={e.k}", e.strategy, e.seconds] for e in entries]
+    strategy = entries[0].strategy if entries else "-"
     rows.append(["total", strategy, sum(row[2] for row in rows)])
     write_csv(path, {"stage": str, "strategy": str, "seconds": float}, rows)
 

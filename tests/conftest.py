@@ -28,7 +28,7 @@ def accept_config(**overrides) -> TrainConfig:
 
 @dataclass
 class TimedSweep:
-    result: transfer.SweepResult
+    result: list[transfer.SweepEntry]
     wall_seconds: float
 
 

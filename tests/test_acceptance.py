@@ -80,7 +80,7 @@ def test_criterion_2_loss_oracle():
 
 def test_criterion_3_growth_exactness(tl1_sweep):
     """Uniform mixing weights, bit-exact inheritance, bit-exact tl2 cloning."""
-    parent = tl1_sweep.result.entries[2].model
+    parent = tl1_sweep.result[2].model
     rng = np.random.default_rng(303)
     uniform_ok = True
     inherit_ok = True
@@ -115,13 +115,13 @@ def test_criterion_4_transfer_speedup(none_sweep, tl1_sweep):
     "Within 5%" is measured on the floor-distance scale (ceiling minus NLL),
     which stays well defined when the NLL goes negative.
     """
-    total_none = sum(e.epochs for e in none_sweep.result.entries)
+    total_none = sum(e.epochs for e in none_sweep.result)
     total_tl = 0
     reached_all = True
     details = []
     for k in range(1, 6):
-        target = 0.95 * floor_distance(none_sweep.result.entries[k - 1].val_nll)
-        log = tl1_sweep.result.entries[k - 1].log
+        target = 0.95 * floor_distance(none_sweep.result[k - 1].best_val_loss)
+        log = tl1_sweep.result[k - 1].log
         reach = next(
             (i for i, (_, v) in enumerate(log, start=1) if floor_distance(v) >= target), None
         )
@@ -129,9 +129,9 @@ def test_criterion_4_transfer_speedup(none_sweep, tl1_sweep):
             reached_all = False
             reach = len(log)
         total_tl += reach
-        details.append(f"K{k}:{reach}/{none_sweep.result.entries[k - 1].epochs}")
+        details.append(f"K{k}:{reach}/{none_sweep.result[k - 1].epochs}")
     ratio = total_tl / total_none
-    tl_wall_k5 = sum(e.seconds for e in tl1_sweep.result.entries[:5])
+    tl_wall_k5 = sum(e.seconds for e in tl1_sweep.result[:5])
     wall = none_sweep.wall_seconds + tl_wall_k5
     verdict(
         4,
@@ -180,7 +180,7 @@ def _inverse_quality(model, single_model, ds):
 def test_criterion_5_inverse_quality(desk_dataset, tl1_sweep):
     """Best-of-top-4 re-simulation of the K=10 mixture beats the K=1 inverse."""
     ok, detail = _inverse_quality(
-        tl1_sweep.result.entries[9].model, tl1_sweep.result.entries[0].model, desk_dataset
+        tl1_sweep.result[9].model, tl1_sweep.result[0].model, desk_dataset
     )
     verdict(
         5,
@@ -215,7 +215,7 @@ def test_criterion_6_multi_valued_recovery(tl1_sweep):
     spectrum = dataset.surrogate_spectra(witness_a.to_array()[None])[0]
     found = None
     for k in range(4, 11):
-        mix = mdn.mixture_for(tl1_sweep.result.entries[k - 1].model, spectrum)
+        mix = mdn.mixture_for(tl1_sweep.result[k - 1].model, spectrum)
         u4 = mix.mu[mix.pi >= 0.05, 3]
         if (u4 < 0.25).any() and (u4 > 0.25).any():
             found = k
@@ -238,8 +238,8 @@ def test_criterion_7_autoencoder(desk_dataset, trained_ae, tl1_sweep, ae_sweep):
     degradation_ok = True
     details = []
     for k in range(1, 6):
-        fd_ae = floor_distance(ae_sweep.result.entries[k - 1].test_nll)
-        fd_plain = floor_distance(tl1_sweep.result.entries[k - 1].test_nll)
+        fd_ae = floor_distance(ae_sweep.result[k - 1].test_nll)
+        fd_plain = floor_distance(tl1_sweep.result[k - 1].test_nll)
         degradation_ok &= fd_ae >= 0.75 * fd_plain
         details.append(f"K{k}:{fd_ae / fd_plain:.2f}")
     verdict(

@@ -59,6 +59,14 @@ class TestGenData:
         assert (tmp_path / "a.csv.meta.json").read_bytes() == \
             (tmp_path / "b.csv.meta.json").read_bytes()
 
+    @pytest.mark.parametrize("samples", [0, dataset.MIN_RECORDS - 1])
+    def test_too_few_samples_rejected_before_any_write(self, samples, tmp_path, capsys):
+        new = tmp_path / "new"
+        assert run("gen-data", "--samples", samples, "--out", new / "data.csv") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --samples ") and err.count("\n") == 1
+        assert not new.exists()
+
     def test_default_sample_count(self):
         parser = cli.make_parser()
         args = parser.parse_args(["gen-data"])
@@ -117,6 +125,20 @@ class TestTrain:
             run("train", "--dataset", tiny_dataset, "--k", 1, "--strategy", "tl1",
                 "--out", tmp_path / "x")
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("line", ["autoencoder = true", "strategy = tl1"])
+    def test_sweep_setting_in_config_rejected(self, line, tiny_dataset, tmp_path, capsys):
+        """Only sweep grows models or trains an autoencoder; train refuses a config file
+        that asks for either, before it reads the dataset or makes --out."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "run"
+        code = run("train", "--config", cfg, "--dataset", tiny_dataset, "--out", out,
+                   "--max-epochs", 2)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: train fits a single model") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSweep:
@@ -538,13 +560,13 @@ class TestSaturatedCheckpoint:
 
 
 class TestReport:
+    SWEEP_FLAGS = ("--k-max", 2, "--strategy", "tl2", "--seed", 11, "--max-epochs", 10,
+                   "--batch-size", 16)
+
     @pytest.fixture()
     def finished_run(self, tiny_dataset, tmp_path):
         out = tmp_path / "run_report"
-        run(
-            "sweep", "--dataset", tiny_dataset, "--k-max", 2, "--strategy", "tl2",
-            "--out", out, "--seed", 11, "--max-epochs", 10, "--batch-size", 16,
-        )
+        run("sweep", "--dataset", tiny_dataset, "--out", out, *self.SWEEP_FLAGS)
         return out
 
     def test_artifacts(self, tiny_dataset, finished_run):
@@ -583,6 +605,21 @@ class TestReport:
             p.name: p.read_bytes() for p in (finished_run / "report").iterdir()
         }
         assert first == second
+
+    def test_stale_ae_json_is_ignored(self, tiny_dataset, finished_run, tmp_path):
+        """A spectrum sweep into an --autoencoder sweep's directory keeps that sweep's
+        ae.json; the report is the one of the same run without it."""
+        stale = tmp_path / "stale"
+        flags = ("--dataset", tiny_dataset, "--out", stale, *self.SWEEP_FLAGS)
+        assert run("sweep", *flags, "--autoencoder") == EXIT_OK
+        assert run("sweep", *flags) == EXIT_OK
+        assert (stale / "ae.json").exists()
+        for run_dir in (finished_run, stale):
+            assert run("report", "--run-dir", run_dir, "--dataset", tiny_dataset) == EXIT_OK
+        for name in dataset.PARAM_NAMES:
+            for ext in ("csv", "svg"):
+                marginal = f"report/marginal_{name}.{ext}"
+                assert (stale / marginal).read_bytes() == (finished_run / marginal).read_bytes()
 
     def test_missing_run_dir(self, tmp_path):
         code = run("report", "--run-dir", tmp_path / "nope")

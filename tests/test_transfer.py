@@ -8,7 +8,7 @@ import pytest
 from specinv import autoencoder, dataset, mdn, nncore, transfer
 from specinv.mdn import build_mdn, mixture_for
 from specinv.nncore import TrainingDivergedError
-from specinv.train import SupervisedArrays, TrainConfig, TrainResult, train_mdn
+from specinv.train import SupervisedArrays, TrainConfig, TrainResult, model_streams, train_mdn
 from specinv.transfer import choose_donor, grow, sweep
 from util import component_pdf, nll_of
 
@@ -183,9 +183,9 @@ class TestSweep:
         for kind in ("none", "tl1", "tl2"):
             res = sweep(arrays, 1, kind, self._cfg(),
                         trunk_widths=[6, 8], n_targets=2)
-            results[kind] = res.entries[0]
+            results[kind] = res[0]
         for kind in ("tl1", "tl2"):
-            assert results[kind].val_nll == results["none"].val_nll
+            assert results[kind].best_val_loss == results["none"].best_val_loss
             assert results[kind].epochs == results["none"].epochs
             for pa, pb in zip(results[kind].model.parameters(), results["none"].model.parameters()):
                 np.testing.assert_array_equal(pa, pb)
@@ -194,8 +194,8 @@ class TestSweep:
         arrays = toy_arrays(seed=2)
         res = sweep(arrays, 3, "tl1", self._cfg(),
                     trunk_widths=[6, 8], n_targets=2)
-        assert [e.k for e in res.entries] == [1, 2, 3]
-        for e in res.entries:
+        assert [e.k for e in res] == [1, 2, 3]
+        for e in res:
             assert e.epochs == len(e.log)
             assert e.epochs <= 8
             assert e.model.n_components == e.k
@@ -206,8 +206,8 @@ class TestSweep:
         arrays = toy_arrays(seed=3)
         res = sweep(arrays, 2, "tl2", self._cfg(max_epochs=12),
                     trunk_widths=[6, 8], n_targets=2)
-        k1_final_val = res.entries[0].log[-1][1]
-        k2_first_val = res.entries[1].log[0][1]
+        k1_final_val = res[0].log[-1][1]
+        k2_first_val = res[1].log[0][1]
         assert abs(k2_first_val - k1_final_val) < 1.0
 
     def test_invalid_k_max(self):
@@ -232,13 +232,26 @@ class TestSweep:
                       np.random.default_rng(cfg.seed + 1))
 
     def test_val_nll_is_the_restored_models_val_loss(self):
-        """SweepEntry.val_nll is the loop's best_val_loss, bit for bit the restored model's."""
+        """An entry's validation NLL, its fit's best_val_loss, is bit for bit the restored
+        model's."""
         arrays = toy_arrays(seed=7)
         for kind in ("none", "tl1"):
             res = sweep(arrays, 3, kind, self._cfg(max_epochs=10, patience=3),
                         trunk_widths=[6, 8], n_targets=2)
-            for e in res.entries:
-                assert e.val_nll == mdn.batch_nll(e.model, arrays.val_x, arrays.val_y)
+            for e in res:
+                assert e.best_val_loss == mdn.batch_nll(e.model, arrays.val_x, arrays.val_y)
+
+    def test_entry_is_its_fit(self):
+        """A none sweep's K=2 entry is the TrainResult that train_mdn gives model K=2 alone."""
+        arrays, cfg = toy_arrays(seed=8), self._cfg()
+        entry = sweep(arrays, 2, "none", cfg, trunk_widths=[6, 8], n_targets=2)[1]
+        init_rng, shuffle_rng, dropout_rng = model_streams(cfg.seed, 2)
+        model = build_mdn(6, 2, init_rng, n_targets=2, trunk_widths=[6, 8])
+        fit = train_mdn(model, arrays, cfg, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
+        assert isinstance(entry, TrainResult)
+        assert entry.epochs == fit.epochs
+        assert entry.log == fit.log
+        assert entry.best_val_loss == fit.best_val_loss
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
@@ -255,8 +268,8 @@ class TestSweepCsv:
         transfer.write_sweep_results(path, res)
         results, _ = nncore.read_csv(path, transfer.SWEEP_RESULTS_COLUMNS)
         assert results["K"] == [1, 2]
-        assert results["epochs"] == [entry.epochs for entry in res.entries]
-        assert results["val_nll"] == [entry.val_nll for entry in res.entries]
+        assert results["epochs"] == [entry.epochs for entry in res]
+        assert results["val_nll"] == [entry.best_val_loss for entry in res]
         header = path.read_text().splitlines()[0]
         assert "seconds" not in header  # timing lives in its own file
 
@@ -288,7 +301,7 @@ class TestSweepCsv:
                                       shuffle_rng=np.random.default_rng(1),
                                       rng=np.random.default_rng(2))
         res = sweep(arrays, 2, "tl1", cfg, trunk_widths=[6, 8], n_targets=2)
-        fits = [mdn_fit, ae_fit, *res.entries]
+        fits = [mdn_fit, ae_fit, *res]
         for fit in fits:
             assert math.isfinite(fit.seconds) and fit.seconds > 0
         path = tmp_path / "sweep_timing.csv"
