@@ -101,6 +101,8 @@ def ae_from_dict(data: dict) -> AeModel:
     )
     if ae.encoder.output_width != ae.decoder.input_width:
         raise nncore.CheckpointFormatError("encoder/decoder latent widths disagree")
+    if ae.decoder.output_width != ae.encoder.input_width:
+        raise nncore.CheckpointFormatError("the decoder does not give back the encoder's inputs")
     return ae
 
 

@@ -202,13 +202,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     ds, arrays = _load_arrays(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    write_config(out_dir / "config.txt", cfg, "train")
     k = cfg.k
     init_rng, shuffle_rng, dropout_rng = model_streams(cfg.seed, k)
     model = mdn.build_mdn(arrays.input_width, k, init_rng)
     fit = train_mdn(model, arrays, cfg, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
     mdn.save_mdn(out_dir / f"mdn_k{k:02d}.json", model)
     _write_log_csv(out_dir / f"log_k{k:02d}.csv", fit.log, "nll")
-    write_config(out_dir / "config.txt", cfg, "train")
     print(f"K={k}: {fit.epochs} epochs, best val NLL {fit.best_val_loss:.6f}")
     return EXIT_OK
 
@@ -218,6 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ds, arrays = _load_arrays(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    write_config(out_dir / "config.txt", cfg, "sweep")
     ae_fit = None
     if cfg.autoencoder:
         shuffle_rng, rng = ae_streams(cfg.seed)
@@ -247,7 +248,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     entries = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg, on_trained=on_trained)
     transfer.write_sweep_results(out_dir / "sweep_results.csv", entries)
     transfer.write_sweep_timing(out_dir / "sweep_timing.csv", entries, ae_fit=ae_fit)
-    write_config(out_dir / "config.txt", cfg, "sweep")
     for entry in entries:
         print(
             f"K={entry.k}: {entry.epochs} epochs, "
@@ -261,14 +261,22 @@ def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray,
     """The mixture of ``model``, loaded from ``checkpoint``, for one spectrum, through the
     autoencoder at ``ae_path`` if any.
 
-    Saturated weights can pass every format check yet give non-finite latents, or a mixture
-    with a non-finite value, or a peak density ``pi / (sqrt(2 pi) sigma)`` or a span of
-    ``mu +/- 8 sigma`` beyond float64: a format error of the checkpoint that gave it."""
+    A mixture that is not over the design parameters, and an encoder that does not take
+    spectra, are format errors of their files.  So are saturated weights, which can pass every
+    format check yet give non-finite latents, or a mixture with a non-finite value, or a peak
+    density ``pi / (sqrt(2 pi) sigma)`` or a span of ``mu +/- 8 sigma`` beyond float64."""
     if ae_path and model.input_width == spectrum.shape[-1]:
         raise ValueError("this checkpoint takes spectra and needs no --ae")
+    if model.head.n_targets != mdn.N_DESIGN_PARAMS:
+        raise CheckpointFormatError(f"{checkpoint}: a mixture over {model.head.n_targets} "
+                                    f"targets, not the {mdn.N_DESIGN_PARAMS} design parameters")
+    ae = autoencoder.load_ae(ae_path) if ae_path else None
+    if ae and ae.encoder.input_width != spectrum.shape[-1]:
+        raise CheckpointFormatError(f"{ae_path}: the encoder takes {ae.encoder.input_width} "
+                                    f"inputs, not a spectrum's {spectrum.shape[-1]}")
     with np.errstate(all="ignore"):
-        x = autoencoder.encode(autoencoder.load_ae(ae_path), spectrum) if ae_path else spectrum
-        if ae_path and not np.isfinite(x).all():
+        x = autoencoder.encode(ae, spectrum) if ae else spectrum
+        if ae and not np.isfinite(x).all():
             raise CheckpointFormatError(f"{ae_path}: the latents of this spectrum are not finite")
         if model.input_width != x.shape[-1]:
             raise ValueError(f"checkpoint expects input width {model.input_width}, got "

@@ -29,8 +29,8 @@ _LOG_DENSITY_EPS = math.log(DENSITY_EPS)
 LOSS_CEILING = -_LOG_DENSITY_EPS  # 11.512925464970229
 
 N_DESIGN_PARAMS = 5
-SPECTRUM_TRUNK_WIDTHS = [101, 150, 240, 300, 300, 150]
-LATENT_TRUNK_WIDTHS = [10, 100, 200, 300, 300, 150]
+# the trunk for each input width: 101-sample spectra and the autoencoder's 10-dim latents
+TRUNK_WIDTHS = {101: [101, 150, 240, 300, 300, 150], 10: [10, 100, 200, 300, 300, 150]}
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -101,40 +101,20 @@ class MdnModel:
 def init_mdn_head(
     feature_width: int, n_components: int, n_targets: int, rng: np.random.Generator
 ) -> MdnHead:
-    def affine(n_out: int) -> tuple[np.ndarray, np.ndarray]:
-        limit = math.sqrt(6.0 / (feature_width + n_out))
-        return rng.uniform(-limit, limit, size=(n_out, feature_width)), np.zeros(n_out)
-
-    pi_w, pi_b = affine(n_components)
-    mu_w, mu_b = affine(n_components * n_targets)
-    sigma_w, sigma_b = affine(n_components * n_targets)
+    pi_w, pi_b = nncore.glorot(feature_width, n_components, rng)
+    mu_w, mu_b = nncore.glorot(feature_width, n_components * n_targets, rng)
+    sigma_w, sigma_b = nncore.glorot(feature_width, n_components * n_targets, rng)
     return MdnHead(pi_w, pi_b, mu_w, mu_b, sigma_w, sigma_b)
 
 
-def build_mdn(
-    input_width: int,
-    n_components: int,
-    rng: np.random.Generator,
-    n_targets: int = N_DESIGN_PARAMS,
-    trunk_widths: list[int] | None = None,
-) -> MdnModel:
+def build_mdn(input_width: int, n_components: int, rng: np.random.Generator) -> MdnModel:
     """Fresh model with the standard trunk for 101-sample spectra or 10-dim latents."""
-    if trunk_widths is None:
-        if input_width == SPECTRUM_TRUNK_WIDTHS[0]:
-            trunk_widths = SPECTRUM_TRUNK_WIDTHS
-        elif input_width == LATENT_TRUNK_WIDTHS[0]:
-            trunk_widths = LATENT_TRUNK_WIDTHS
-        else:
-            raise ValueError(
-                f"no default trunk for input width {input_width}; pass trunk_widths"
-            )
-    if trunk_widths[0] != input_width:
-        raise ValueError(f"trunk {trunk_widths} does not accept input width {input_width}")
-    trunk = nncore.init_mlp(
-        trunk_widths, rng, dropout_after=nncore.max_width_dropout_layers(trunk_widths)
-    )
-    head = init_mdn_head(trunk_widths[-1], n_components, n_targets, rng)
-    return MdnModel(trunk=trunk, head=head)
+    if input_width not in TRUNK_WIDTHS:
+        raise ValueError(f"no trunk for input width {input_width}; "
+                         f"widths {sorted(TRUNK_WIDTHS)} have one")
+    widths = TRUNK_WIDTHS[input_width]
+    trunk = nncore.init_mlp(widths, rng, dropout_after=nncore.max_width_dropout_layers(widths))
+    return MdnModel(trunk, init_mdn_head(widths[-1], n_components, N_DESIGN_PARAMS, rng))
 
 
 # --- forward ------------------------------------------------------------------

@@ -95,6 +95,12 @@ class MlpModel:
         return _interleave(self.weights, self.biases)
 
 
+def glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One affine layer's Glorot-uniform (fan_out, fan_in) weights and zero biases."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_out, fan_in)), np.zeros(fan_out)
+
+
 def init_mlp(
     layer_widths: list[int],
     rng: np.random.Generator,
@@ -111,15 +117,11 @@ def init_mlp(
         activations = [ACT_SILU] * n_layers
     if len(activations) != n_layers:
         raise ValueError(f"expected {n_layers} activation markers, got {len(activations)}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_widths[:-1], layer_widths[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+    weights, biases = zip(*(glorot(a, b, rng) for a, b in zip(layer_widths, layer_widths[1:])))
     return MlpModel(
         layer_widths=list(layer_widths),
-        weights=weights,
-        biases=biases,
+        weights=list(weights),
+        biases=list(biases),
         activations=list(activations),
         dropout_after=frozenset(dropout_after),
     )

@@ -113,8 +113,6 @@ def sweep(
     k_max: int,
     strategy: str,
     config: TrainConfig,
-    trunk_widths: list[int] | None = None,
-    n_targets: int = mdn.N_DESIGN_PARAMS,
     on_trained: Callable[[SweepEntry], None] | None = None,
 ) -> list[SweepEntry]:
     """Train models for K = 1..k_max, warm-starting each K from K-1 under tl1/tl2.
@@ -133,9 +131,7 @@ def sweep(
     for k in range(1, k_max + 1):
         init_rng, shuffle_rng, dropout_rng = model_streams(config.seed, k)
         if k == 1 or strategy == STRATEGY_NONE:
-            model = mdn.build_mdn(
-                data.input_width, k, init_rng, n_targets=n_targets, trunk_widths=trunk_widths
-            )
+            model = mdn.build_mdn(data.input_width, k, init_rng)
         else:
             model = grow(prev_model, choose_donor(strategy, config.seed, k))
             perturb_new_component(

@@ -17,6 +17,7 @@ from util import (
     nll_of,
     random_mixture,
     scalar_mixture_nll,
+    small_mdn,
     witness_pair,
 )
 
@@ -41,7 +42,7 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(20):
-        model = mdn.build_mdn(6, 2, rng, n_targets=2, trunk_widths=[6, 8])
+        model = small_mdn([6, 8], 2, 2, rng)
         x = rng.normal(size=(2, 6))
         y = rng.normal(size=(2, 2))
         _, grads = mdn.batch_nll_and_grads(model, x, y)

@@ -2,6 +2,7 @@
 which of its modules may parse CSV."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -38,3 +39,31 @@ def test_only_nncore_imports_csv():
         or (isinstance(node, ast.ImportFrom) and node.module == "csv")
     }
     assert sorted(importers) == ["nncore.py"]
+
+
+def test_every_public_parameter_is_set_in_src():
+    """A defaulted parameter of an exported function that no call in ``src/`` passes, by
+    keyword or by position, is exported API that nothing uses."""
+    calls = [
+        node
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+
+    def is_set(fn, index, param):
+        return any(
+            getattr(call.func, "id", getattr(call.func, "attr", None)) == fn.__name__
+            and (any(kw.arg == param.name for kw in call.keywords)
+                 or (param.kind is param.POSITIONAL_OR_KEYWORD and len(call.args) > index))
+            for call in calls
+        )
+
+    unset = [
+        f"{name}.{param.name}"
+        for name in specinv.__all__
+        if inspect.isfunction(fn := getattr(specinv, name))
+        for index, param in enumerate(inspect.signature(fn).parameters.values())
+        if param.default is not param.empty and not is_set(fn, index, param)
+    ]
+    assert unset == []

@@ -16,7 +16,7 @@ from specinv.autoencoder import (
     train_ae,
 )
 from specinv.train import TrainConfig
-from util import mean_baseline_mse
+from util import mean_baseline_mse, small_mdn
 
 
 class TestShapes:
@@ -148,6 +148,6 @@ class TestCheckpoint:
     def test_wrong_kind_rejected(self, tmp_path):
         rng = np.random.default_rng(14)
         path = tmp_path / "mdn.json"
-        mdn.save_mdn(path, mdn.build_mdn(4, 1, rng, n_targets=2, trunk_widths=[4, 3]))
+        mdn.save_mdn(path, small_mdn([4, 3], 1, 2, rng))
         with pytest.raises(ValueError, match="autoencoder"):
             load_ae(path)

@@ -43,9 +43,10 @@ def test_install_then_uninstall_restores_every_name(tracer_module):
     assert _bindings() == before
 
 
-def test_training_goes_through_the_traced_names(tracer_module):
+def test_training_goes_through_the_traced_names(tracer_module, monkeypatch):
+    monkeypatch.setitem(mdn.TRUNK_WIDTHS, 6, [6, 8])  # a test-sized trunk for 6-wide inputs
     rng = np.random.default_rng(0)
-    arrays = SupervisedArrays(*(rng.random((n, w)) for n in (32, 8, 8) for w in (6, 2)))
+    arrays = SupervisedArrays(*(rng.random((n, w)) for n in (32, 8, 8) for w in (6, 5)))
     spectra = dataset.surrogate_spectra(
         np.array([d.to_array() for d in dataset.generate_designs(12, seed=0)])
     )
@@ -53,8 +54,7 @@ def test_training_goes_through_the_traced_names(tracer_module):
     tracer = tracer_module.Tracer()
     tracer_module.install(tracer)
     try:
-        transfer.sweep(arrays, 2, "tl1", config,
-                       trunk_widths=[6, 8], n_targets=2)
+        transfer.sweep(arrays, 2, "tl1", config)
         autoencoder.train_ae(spectra[:8], spectra[8:], config,
                              shuffle_rng=np.random.default_rng(1), rng=np.random.default_rng(2))
     finally:

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from specinv import autoencoder, cli, dataset, mdn, transfer
+from specinv import autoencoder, cli, dataset, mdn, nncore, transfer
 from specinv.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from specinv.nncore import write_csv
-from util import assert_no_child_left, load_metadata
+from util import assert_no_child_left, load_metadata, small_mdn
 
 
 def run(*argv) -> int:
@@ -40,6 +40,13 @@ PATH_TEXT = st.text(string.ascii_letters + string.digits + "/._-#", max_size=30)
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_sweep_config_written(out, argv):
+    """``out``/config.txt reads back as the settings of the sweep run with ``argv``."""
+    written = cli.parse_config_file(Path(out) / "config.txt", "sweep")
+    given = cli.build_config(cli.make_parser().parse_args([str(a) for a in argv]))
+    assert cli.RunConfig(**written) == given
 
 
 class TestGenData:
@@ -185,12 +192,12 @@ class TestSweep:
         assert (out / "log_k01.csv").read_text().splitlines()[0] == "epoch,train_nll,val_nll"
 
     def test_divergence_exit_code(self, tiny_dataset, tmp_path):
-        code = run(
-            "sweep", "--dataset", tiny_dataset, "--k-max", 1, "--strategy", "none",
-            "--out", tmp_path / "sweepdiv", "--seed", 4, "--max-epochs", 30,
-            "--batch-size", 16, "--learning-rate", "1e12",
-        )
+        argv = ["sweep", "--dataset", tiny_dataset, "--k-max", 1, "--strategy", "none",
+                "--out", tmp_path / "sweepdiv", "--seed", 4, "--max-epochs", 30,
+                "--batch-size", 16, "--learning-rate", "1e12"]
+        code = run(*argv)
         assert code == EXIT_DIVERGED
+        assert_sweep_config_written(tmp_path / "sweepdiv", argv)  # written before training
 
 
 class TestSweepWrites:
@@ -214,6 +221,7 @@ class TestSweepWrites:
         later = self.CHECKPOINTS[self.CHECKPOINTS.index(name) + 1:]
         assert not any((tmp_path / "run" / n).exists() for n in later)
         assert not (tmp_path / "run" / "sweep_results.csv").exists()
+        assert_sweep_config_written(tmp_path / "run", [*self.SWEEP, "--dataset", tiny_dataset])
 
     @pytest.mark.parametrize("error,code", [
         (cli.TrainingDivergedError("loss nan"), EXIT_DIVERGED), (KeyboardInterrupt(), None),
@@ -487,31 +495,31 @@ SATURATED_CHECKPOINTS = {
 }
 
 
+def run_on(run_dir, command, tiny_dataset, capsys):
+    """``command`` on ``run_dir``'s mdn_k02.json (and ae.json, if there): the exit code,
+    stderr, and the output directory it was given."""
+    ae = run_dir / "ae.json"
+    if command == "predict":
+        spectrum = run_dir.parent / "spectrum.txt"
+        spectrum.write_text(" ".join(map(str, dataset.load_dataset(tiny_dataset).spectra[0])))
+        out = run_dir.parent / "pred"
+        argv = ["predict", "--checkpoint", run_dir / "mdn_k02.json", "--spectrum-file",
+                spectrum, "--top", 2, "--out", out, *(["--ae", ae] if ae.exists() else [])]
+    else:
+        write_csv(run_dir / "sweep_results.csv", transfer.SWEEP_RESULTS_COLUMNS,
+                  [[2, "none", 2, 0.5, 0.5, 0.5]])
+        out = run_dir / "report"
+        argv = ["report", "--run-dir", run_dir, "--dataset", tiny_dataset]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(*argv)
+    return code, capsys.readouterr().err, out
+
+
 class TestSaturatedCheckpoint:
     """Saturated weights that give non-finite latents, or a mixture with a non-finite value,
     a deviation of 0 or a span beyond float64, are a format error of the checkpoint that
     gave them: exit 3, one line naming that file, no warning and nothing written."""
-
-    @staticmethod
-    def run_on(run_dir, command, tiny_dataset, capsys):
-        """``command`` on ``run_dir``'s mdn_k02.json (and ae.json, if there): the exit code,
-        stderr, and the output directory it was given."""
-        ae = run_dir / "ae.json"
-        if command == "predict":
-            spectrum = run_dir.parent / "spectrum.txt"
-            spectrum.write_text(" ".join(map(str, dataset.load_dataset(tiny_dataset).spectra[0])))
-            out = run_dir.parent / "pred"
-            argv = ["predict", "--checkpoint", run_dir / "mdn_k02.json", "--spectrum-file",
-                    spectrum, "--top", 2, "--out", out, *(["--ae", ae] if ae.exists() else [])]
-        else:
-            write_csv(run_dir / "sweep_results.csv", transfer.SWEEP_RESULTS_COLUMNS,
-                      [[2, "none", 2, 0.5, 0.5, 0.5]])
-            out = run_dir / "report"
-            argv = ["report", "--run-dir", run_dir, "--dataset", tiny_dataset]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run(*argv)
-        return code, capsys.readouterr().err, out
 
     @pytest.mark.parametrize("command", ["predict", "report"])
     @pytest.mark.parametrize("saturate", sorted(SATURATED_CHECKPOINTS))
@@ -522,7 +530,7 @@ class TestSaturatedCheckpoint:
         run_dir.mkdir()
         checkpoint = run_dir / "mdn_k02.json"
         mdn.save_mdn(checkpoint, model)
-        code, err, out = self.run_on(run_dir, command, tiny_dataset, capsys)
+        code, err, out = run_on(run_dir, command, tiny_dataset, capsys)
         assert code == EXIT_IO
         assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1
         assert not out.exists()
@@ -538,7 +546,7 @@ class TestSaturatedCheckpoint:
         autoencoder.save_ae(run_dir / "ae.json", ae)
         model = mdn.build_mdn(autoencoder.ENCODER_WIDTHS[-1], 2, np.random.default_rng(1))
         mdn.save_mdn(run_dir / "mdn_k02.json", model)
-        code, err, out = self.run_on(run_dir, command, tiny_dataset, capsys)
+        code, err, out = run_on(run_dir, command, tiny_dataset, capsys)
         assert code == EXIT_IO
         assert err.startswith(f"error: {run_dir / 'ae.json'}: ") and err.count("\n") == 1
         assert not out.exists()
@@ -552,11 +560,54 @@ class TestSaturatedCheckpoint:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         mdn.save_mdn(run_dir / "mdn_k02.json", model)
-        code, err, out = self.run_on(run_dir, "report", tiny_dataset, capsys)
+        code, err, out = run_on(run_dir, "report", tiny_dataset, capsys)
         assert (code, err) == (EXIT_OK, "")
         for name in dataset.PARAM_NAMES:
             table = np.loadtxt(out / f"marginal_{name}.csv", delimiter=",", skiprows=1)
             assert table.shape == (8192, 2) and np.isfinite(table).all()
+
+
+class TestModelShape:
+    """Well-formed checkpoints of models this system does not build: exit 3, one line naming
+    the file, and nothing written."""
+
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    @pytest.mark.parametrize("n_targets", [2, 7])
+    def test_mixture_not_over_the_design_parameters(self, n_targets, command, tiny_dataset,
+                                                    tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        checkpoint = run_dir / "mdn_k02.json"
+        mdn.save_mdn(checkpoint, small_mdn([101, 8], 2, n_targets, np.random.default_rng(0)))
+        code, err, out = run_on(run_dir, command, tiny_dataset, capsys)
+        assert code == EXIT_IO
+        assert err == (f"error: {checkpoint}: a mixture over {n_targets} targets, "
+                       f"not the 5 design parameters\n")
+        assert not out.exists()
+
+    # the autoencoder's layer widths, and the error line that names its file
+    AUTOENCODERS = {
+        "encoder_takes_50": ([50, 8, 10], [10, 8, 50], "the encoder takes 50 inputs, "
+                                                      "not a spectrum's 101"),
+        "decoder_gives_7": ([101, 8, 10], [10, 8, 7],
+                            "the decoder does not give back the encoder's inputs"),
+    }
+
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    @pytest.mark.parametrize("case", sorted(AUTOENCODERS))
+    def test_autoencoder_that_does_not_fit_spectra(self, case, command, tiny_dataset, tmp_path,
+                                                   capsys):
+        encoder, decoder, reason = self.AUTOENCODERS[case]
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        rng = np.random.default_rng(0)
+        autoencoder.save_ae(run_dir / "ae.json", autoencoder.AeModel(
+            nncore.init_mlp(encoder, rng), nncore.init_mlp(decoder, rng)))
+        mdn.save_mdn(run_dir / "mdn_k02.json", small_mdn([10, 8], 2, 5, rng))
+        code, err, out = run_on(run_dir, command, tiny_dataset, capsys)
+        assert code == EXIT_IO
+        assert err == f"error: {run_dir / 'ae.json'}: {reason}\n"
+        assert not out.exists()
 
 
 class TestReport:

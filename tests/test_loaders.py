@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from specinv import autoencoder, cli, dataset, mdn, nncore, transfer
 from specinv.cli import EXIT_IO, main
 from specinv.nncore import CheckpointFormatError, DatasetFormatError
+from util import small_mdn
 
 NOT_UTF8 = b"0.5, 0.5\n0.5, \xff\n"
 OVERSIZED_FIELD = b"1" * 140_000  # over the csv module's 131,072-character field limit
@@ -51,7 +52,7 @@ def valid(tmp_path_factory):
     (root / "spectrum").write_text(", ".join(format(v, ".17g") for v in ds.spectra[0]))
     nncore.write_csv(root / "sweep_results", transfer.SWEEP_RESULTS_COLUMNS,
                      [[1, "tl1", 3, 0.25, 0.5, 0.75], [2, "tl1", 4, 0.125, 0.375, 0.5]])
-    model = mdn.build_mdn(101, 3, np.random.default_rng(0), trunk_widths=[101, 4, 3])
+    model = small_mdn([101, 4, 3], 3, mdn.N_DESIGN_PARAMS, np.random.default_rng(0))
     mdn.save_mdn(root / "checkpoint", model)
     rng = np.random.default_rng(1)
     decoder = nncore.init_mlp([3, 4, 101], rng, activations=["silu", "identity"])

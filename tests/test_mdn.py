@@ -28,6 +28,7 @@ from util import (
     nll_of,
     random_mixture,
     scalar_mixture_nll,
+    small_mdn,
     witness_pair,
 )
 
@@ -178,7 +179,7 @@ class TestNllLoss:
 class TestBatchLoss:
     def _toy(self, k=2):
         rng = np.random.default_rng(10)
-        return build_mdn(6, k, rng, n_targets=2, trunk_widths=[6, 8]), rng
+        return small_mdn([6, 8], k, 2, rng), rng
 
     def test_batch_of_one_equals_single(self):
         model, rng = self._toy()
@@ -238,7 +239,7 @@ class TestSaturatedLogits:
     @example(pi_b=[1e4, -1e4, 800.0], sigma_b=[800.0, -800.0, 1e4, -1e4, 0.0, 1.0],
              targets=[1e6, -1e6, 0.0, 3.0])
     def test_loss_capped_and_gradients_finite(self, pi_b, sigma_b, targets):
-        model = build_mdn(6, 3, np.random.default_rng(12), n_targets=2, trunk_widths=[6, 8])
+        model = small_mdn([6, 8], 3, 2, np.random.default_rng(12))
         model.head.pi_b[:] = pi_b
         model.head.sigma_b[:] = sigma_b
         x = np.random.default_rng(13).normal(size=(2, 6))
@@ -252,7 +253,7 @@ class TestSaturatedLogits:
 
     def test_infinite_sigma_gets_zero_gradient(self):
         """sigma = exp(800) overflows: that component takes no responsibility and no step."""
-        model = build_mdn(6, 2, np.random.default_rng(14), n_targets=2, trunk_widths=[6, 8])
+        model = small_mdn([6, 8], 2, 2, np.random.default_rng(14))
         model.head.sigma_b[:2] = 800.0
         x = np.random.default_rng(15).normal(size=(3, 6))
         y = np.full((3, 2), 0.5)
@@ -414,7 +415,7 @@ class TestWeightedMarginal:
 class TestMdnCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
-        model = build_mdn(6, 3, rng, n_targets=2, trunk_widths=[6, 8])
+        model = small_mdn([6, 8], 3, 2, rng)
         path = tmp_path / "mdn.json"
         mdn.save_mdn(path, model)
         loaded = mdn.load_mdn(path)
@@ -435,3 +436,7 @@ class TestMdnCheckpoint:
         assert model.head.mu_w.shape == (10, 150)
         latent_model = build_mdn(10, 2, rng)
         assert latent_model.trunk.layer_widths == [10, 100, 200, 300, 300, 150]
+
+    def test_unknown_input_width_rejected(self):
+        with pytest.raises(ValueError, match=r"input width 6; widths \[10, 101\] have one"):
+            build_mdn(6, 2, np.random.default_rng(0))

@@ -10,12 +10,17 @@ from specinv.mdn import build_mdn, mixture_for
 from specinv.nncore import TrainingDivergedError
 from specinv.train import SupervisedArrays, TrainConfig, TrainResult, model_streams, train_mdn
 from specinv.transfer import choose_donor, grow, sweep
-from util import component_pdf, nll_of
+from util import component_pdf, nll_of, small_mdn
 
 
 def toy_model(k, seed=0):
-    rng = np.random.default_rng(seed)
-    return build_mdn(6, k, rng, n_targets=2, trunk_widths=[6, 8])
+    return small_mdn([6, 8], k, 2, np.random.default_rng(seed))
+
+
+@pytest.fixture()
+def toy_trunk(monkeypatch):
+    """``build_mdn``, and so ``sweep``, give 6-wide toy inputs a [6, 8] trunk."""
+    monkeypatch.setitem(mdn.TRUNK_WIDTHS, 6, [6, 8])
 
 
 def toy_arrays(seed=0, n=64):
@@ -23,7 +28,7 @@ def toy_arrays(seed=0, n=64):
 
     def block(m):
         x = rng.random((m, 6))
-        y = rng.random((m, 2))
+        y = rng.random((m, mdn.N_DESIGN_PARAMS))
         return x, y
 
     tx, ty = block(n)
@@ -171,6 +176,7 @@ class TestGrownDensity:
             assert abs(lc - lp) <= bound
 
 
+@pytest.mark.usefixtures("toy_trunk")
 class TestSweep:
     def _cfg(self, **kw):
         defaults = dict(batch_size=16, max_epochs=8, patience=50, seed=21)
@@ -181,8 +187,7 @@ class TestSweep:
         arrays = toy_arrays(seed=1)
         results = {}
         for kind in ("none", "tl1", "tl2"):
-            res = sweep(arrays, 1, kind, self._cfg(),
-                        trunk_widths=[6, 8], n_targets=2)
+            res = sweep(arrays, 1, kind, self._cfg())
             results[kind] = res[0]
         for kind in ("tl1", "tl2"):
             assert results[kind].best_val_loss == results["none"].best_val_loss
@@ -192,8 +197,7 @@ class TestSweep:
 
     def test_entries_strictly_increasing_k(self):
         arrays = toy_arrays(seed=2)
-        res = sweep(arrays, 3, "tl1", self._cfg(),
-                    trunk_widths=[6, 8], n_targets=2)
+        res = sweep(arrays, 3, "tl1", self._cfg())
         assert [e.k for e in res] == [1, 2, 3]
         for e in res:
             assert e.epochs == len(e.log)
@@ -204,8 +208,7 @@ class TestSweep:
         """Under tl the K=2 trunk starts from the trained K=1 trunk, so after a
         0-epoch-free warm start the K=2 initial val loss is close to K=1's final."""
         arrays = toy_arrays(seed=3)
-        res = sweep(arrays, 2, "tl2", self._cfg(max_epochs=12),
-                    trunk_widths=[6, 8], n_targets=2)
+        res = sweep(arrays, 2, "tl2", self._cfg(max_epochs=12))
         k1_final_val = res[0].log[-1][1]
         k2_first_val = res[1].log[0][1]
         assert abs(k2_first_val - k1_final_val) < 1.0
@@ -218,13 +221,12 @@ class TestSweep:
         arrays = toy_arrays(seed=6)
         arrays.train_x[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError, match="K=1"):
-            sweep(arrays, 2, "tl1", self._cfg(),
-                  trunk_widths=[6, 8], n_targets=2)
+            sweep(arrays, 2, "tl1", self._cfg())
 
     def test_collapse_to_the_loss_ceiling_is_a_divergence(self):
         """sigma = exp(800) is inf for every component: every density is 0, every
         gradient 0, and the run can never leave the ceiling."""
-        model = toy_model(2, seed=4)
+        model = build_mdn(6, 2, np.random.default_rng(4))
         model.head.sigma_b[:] = 800.0
         cfg = self._cfg()
         with pytest.raises(TrainingDivergedError, match="ceiling"):
@@ -236,17 +238,16 @@ class TestSweep:
         model's."""
         arrays = toy_arrays(seed=7)
         for kind in ("none", "tl1"):
-            res = sweep(arrays, 3, kind, self._cfg(max_epochs=10, patience=3),
-                        trunk_widths=[6, 8], n_targets=2)
+            res = sweep(arrays, 3, kind, self._cfg(max_epochs=10, patience=3))
             for e in res:
                 assert e.best_val_loss == mdn.batch_nll(e.model, arrays.val_x, arrays.val_y)
 
     def test_entry_is_its_fit(self):
         """A none sweep's K=2 entry is the TrainResult that train_mdn gives model K=2 alone."""
         arrays, cfg = toy_arrays(seed=8), self._cfg()
-        entry = sweep(arrays, 2, "none", cfg, trunk_widths=[6, 8], n_targets=2)[1]
+        entry = sweep(arrays, 2, "none", cfg)[1]
         init_rng, shuffle_rng, dropout_rng = model_streams(cfg.seed, 2)
-        model = build_mdn(6, 2, init_rng, n_targets=2, trunk_widths=[6, 8])
+        model = build_mdn(6, 2, init_rng)
         fit = train_mdn(model, arrays, cfg, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
         assert isinstance(entry, TrainResult)
         assert entry.epochs == fit.epochs
@@ -258,12 +259,12 @@ class TestSweep:
             sweep(toy_arrays(), 1, "tl3", self._cfg())
 
 
+@pytest.mark.usefixtures("toy_trunk")
 class TestSweepCsv:
     def test_results_csv_round_trip(self, tmp_path):
         arrays = toy_arrays(seed=4)
         res = sweep(arrays, 2, "tl1",
-                    TrainConfig(batch_size=16, max_epochs=5, seed=3),
-                    trunk_widths=[6, 8], n_targets=2)
+                    TrainConfig(batch_size=16, max_epochs=5, seed=3))
         path = tmp_path / "sweep_results.csv"
         transfer.write_sweep_results(path, res)
         results, _ = nncore.read_csv(path, transfer.SWEEP_RESULTS_COLUMNS)
@@ -276,8 +277,7 @@ class TestSweepCsv:
     def test_timing_csv(self, tmp_path):
         arrays = toy_arrays(seed=5)
         res = sweep(arrays, 2, "none",
-                    TrainConfig(batch_size=16, max_epochs=4, seed=3),
-                    trunk_widths=[6, 8], n_targets=2)
+                    TrainConfig(batch_size=16, max_epochs=4, seed=3))
         path = tmp_path / "sweep_timing.csv"
         ae_fit = TrainResult(model=None, epochs=0, log=[], best_val_loss=math.nan, seconds=1.5)
         transfer.write_sweep_timing(path, res, ae_fit=ae_fit)
@@ -292,7 +292,7 @@ class TestSweepCsv:
         sweep_timing.csv writes exactly those seconds."""
         cfg = TrainConfig(batch_size=16, max_epochs=3, seed=3)
         arrays = toy_arrays(seed=6)
-        mdn_fit = train_mdn(toy_model(2), arrays, cfg, shuffle_rng=np.random.default_rng(1),
+        mdn_fit = train_mdn(build_mdn(6, 2, np.random.default_rng(0)), arrays, cfg, shuffle_rng=np.random.default_rng(1),
                             dropout_rng=np.random.default_rng(2))
         spectra = dataset.surrogate_spectra(
             np.array([d.to_array() for d in dataset.generate_designs(12, seed=0)])
@@ -300,7 +300,7 @@ class TestSweepCsv:
         ae_fit = autoencoder.train_ae(spectra[:8], spectra[8:], cfg,
                                       shuffle_rng=np.random.default_rng(1),
                                       rng=np.random.default_rng(2))
-        res = sweep(arrays, 2, "tl1", cfg, trunk_widths=[6, 8], n_targets=2)
+        res = sweep(arrays, 2, "tl1", cfg)
         fits = [mdn_fit, ae_fit, *res]
         for fit in fits:
             assert math.isfinite(fit.seconds) and fit.seconds > 0

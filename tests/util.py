@@ -84,6 +84,16 @@ def random_mixture(rng, k=None, n=5, mu_scale=2.0):
     return MixtureParams(pi=pi, mu=mu, sigma=sigma)
 
 
+def small_mdn(trunk_widths, n_components, n_targets, rng):
+    """The model ``build_mdn`` builds, from the same draws of ``rng`` in the same order, but
+    on a test-sized trunk of ``trunk_widths`` and with ``n_targets`` targets."""
+    from specinv import mdn, nncore
+
+    trunk = nncore.init_mlp(trunk_widths, rng,
+                            dropout_after=nncore.max_width_dropout_layers(trunk_widths))
+    return mdn.MdnModel(trunk, mdn.init_mdn_head(trunk_widths[-1], n_components, n_targets, rng))
+
+
 def nll_of(mix, y):
     """The library's stabilized loss of one target vector under one mixture: criterion 2's
     wrapper around the very functions that ``mdn.batch_nll`` and training evaluate."""
