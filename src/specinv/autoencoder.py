@@ -99,6 +99,9 @@ def ae_from_dict(data: dict) -> AeModel:
         encoder=nncore.mlp_from_dict(data["encoder"], "encoder"),
         decoder=nncore.mlp_from_dict(data["decoder"], "decoder"),
     )
+    if ae.encoder.input_width != ENCODER_WIDTHS[0]:
+        raise nncore.CheckpointFormatError(f"the encoder takes {ae.encoder.input_width} inputs, "
+                                           f"not a spectrum's {ENCODER_WIDTHS[0]}")
     if ae.encoder.output_width != ae.decoder.input_width:
         raise nncore.CheckpointFormatError("encoder/decoder latent widths disagree")
     if ae.decoder.output_width != ae.encoder.input_width:

@@ -223,7 +223,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.autoencoder:
         shuffle_rng, rng = ae_streams(cfg.seed)
         ae_fit = autoencoder.train_ae(
-            ds.spectra_for("train"), ds.spectra_for("val"), cfg, shuffle_rng=shuffle_rng, rng=rng
+            arrays.train_x, arrays.val_x, cfg, shuffle_rng=shuffle_rng, rng=rng
         )
         autoencoder.save_ae(out_dir / "ae.json", ae_fit.model)
         _write_log_csv(out_dir / "ae_log.csv", ae_fit.log, "mse")
@@ -259,28 +259,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray,
                       ae_path) -> mdn.MixtureParams:
     """The mixture of ``model``, loaded from ``checkpoint``, for one spectrum, through the
-    autoencoder at ``ae_path`` if any.
+    autoencoder at ``ae_path`` if the model takes latents.
 
-    A mixture that is not over the design parameters, and an encoder that does not take
-    spectra, are format errors of their files.  So are saturated weights, which can pass every
-    format check yet give non-finite latents, or a mixture with a non-finite value, or a peak
-    density ``pi / (sqrt(2 pi) sigma)`` or a span of ``mu +/- 8 sigma`` beyond float64."""
-    if ae_path and model.input_width == spectrum.shape[-1]:
-        raise ValueError("this checkpoint takes spectra and needs no --ae")
-    if model.head.n_targets != mdn.N_DESIGN_PARAMS:
-        raise CheckpointFormatError(f"{checkpoint}: a mixture over {model.head.n_targets} "
-                                    f"targets, not the {mdn.N_DESIGN_PARAMS} design parameters")
+    An autoencoder whose latents are not as wide as the model's inputs is a format error
+    naming both files.  Saturated weights, which can pass every format check yet give
+    non-finite latents, or a mixture with a non-finite value, or a peak density
+    ``pi / (sqrt(2 pi) sigma)`` or a span of ``mu +/- 8 sigma`` beyond float64, are a format
+    error of the file that holds them."""
     ae = autoencoder.load_ae(ae_path) if ae_path else None
-    if ae and ae.encoder.input_width != spectrum.shape[-1]:
-        raise CheckpointFormatError(f"{ae_path}: the encoder takes {ae.encoder.input_width} "
-                                    f"inputs, not a spectrum's {spectrum.shape[-1]}")
+    if ae and ae.encoder.output_width != model.input_width:
+        raise CheckpointFormatError(f"{ae_path}: the encoder gives {ae.encoder.output_width}-wide "
+                                    f"latents, but {checkpoint} takes {model.input_width} inputs")
     with np.errstate(all="ignore"):
         x = autoencoder.encode(ae, spectrum) if ae else spectrum
         if ae and not np.isfinite(x).all():
             raise CheckpointFormatError(f"{ae_path}: the latents of this spectrum are not finite")
-        if model.input_width != x.shape[-1]:
-            raise ValueError(f"checkpoint expects input width {model.input_width}, got "
-                             f"{x.shape[-1]}; models trained on latents need their autoencoder")
         mix = mdn.mixture_for(model, x)
         peaks = mix.pi[:, None] / (np.sqrt(2.0 * np.pi) * mix.sigma)  # inf for a sigma of 0
         bounds = mix.mu + np.multiply.outer([-8.0, 8.0], mix.sigma)  # what marginal_grid spans
@@ -296,6 +289,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not 1 <= args.top <= model.n_components:
         raise ValueError(f"--top {args.top} out of range [1, {model.n_components}]")
     spectrum = read_spectrum_file(args.spectrum_file)
+    latent = model.input_width != dataset.N_WAVELENGTHS
+    if args.ae and not latent:
+        raise ValueError("this checkpoint takes spectra and needs no --ae")
+    if latent and not args.ae:
+        raise ValueError(f"{args.checkpoint} takes {model.input_width} inputs, not spectra: "
+                         f"give its autoencoder with --ae")
     mix = _spectrum_mixture(model, args.checkpoint, spectrum, args.ae)
     found = mdn.rank_candidates(mix, spectrum, args.top)
     out_dir = args.out
@@ -386,10 +385,9 @@ def _test_record_mixture(args, run_dir: Path, ks: list[int]):
     model = mdn.load_mdn(checkpoint)
     record = test_idx[args.test_index]
     # only a latent model's: a spectrum sweep leaves an earlier --autoencoder sweep's ae.json
-    ae_path = run_dir / "ae.json"
     latent = model.input_width != dataset.N_WAVELENGTHS
     mix = _spectrum_mixture(model, checkpoint, ds.spectra[record],
-                            ae_path if latent and ae_path.exists() else None)
+                            run_dir / "ae.json" if latent else None)
     return k, mix, ds.designs[record]
 
 

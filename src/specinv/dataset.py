@@ -205,9 +205,6 @@ class LabeledDataset:
             raise ValueError(f"unknown split {split!r}")
         return np.flatnonzero(self.split_tags == split)
 
-    def spectra_for(self, split: str) -> np.ndarray:
-        return self.spectra[self.indices(split)]
-
     def counts(self) -> dict[str, int]:
         return {s: int(np.sum(self.split_tags == s)) for s in _SPLITS}
 

@@ -356,6 +356,9 @@ def mdn_from_dict(data: dict) -> MdnModel:
     trunk = nncore.mlp_from_dict(data["trunk"], "trunk")
     k = nncore.checkpoint_count(data["n_components"], "n_components")
     n = nncore.checkpoint_count(data["n_targets"], "n_targets")
+    if n != N_DESIGN_PARAMS:
+        raise nncore.CheckpointFormatError(
+            f"a mixture over {n} targets, not the {N_DESIGN_PARAMS} design parameters")
     f = trunk.output_width
     shapes = {
         "pi_w": (k, f), "pi_b": (k,),

@@ -108,15 +108,8 @@ def init_mlp(
     dropout_after: frozenset[int] | set[int] = frozenset(),
 ) -> MlpModel:
     """Glorot-uniform weights, zero biases; SiLU everywhere unless overridden."""
-    if len(layer_widths) < 2:
-        raise ValueError(f"need at least input and output widths, got {layer_widths}")
-    if any(w <= 0 for w in layer_widths):
-        raise ValueError(f"layer widths must be positive, got {layer_widths}")
-    n_layers = len(layer_widths) - 1
     if activations is None:
-        activations = [ACT_SILU] * n_layers
-    if len(activations) != n_layers:
-        raise ValueError(f"expected {n_layers} activation markers, got {len(activations)}")
+        activations = [ACT_SILU] * (len(layer_widths) - 1)
     weights, biases = zip(*(glorot(a, b, rng) for a, b in zip(layer_widths, layer_widths[1:])))
     return MlpModel(
         layer_widths=list(layer_widths),
@@ -213,23 +206,11 @@ def backward(
     ``model.parameters()``; input_grad is None, and its matmul skipped, when
     ``input_gradient`` is false.
     """
-    if len(tape.records) != model.n_layers:
-        raise ValueError(
-            f"tape has {len(tape.records)} layers, model has {model.n_layers}"
-        )
     g = np.asarray(output_gradient, dtype=np.float64)
-    n = tape.batch_size
-    if g.shape != (n, model.output_width):
-        raise ValueError(
-            f"output gradient shape {np.shape(output_gradient)} does not match "
-            f"forward output ({n}, {model.output_width})"
-        )
     grad_w: list[np.ndarray] = [np.empty(0)] * model.n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * model.n_layers
     for l in reversed(range(model.n_layers)):
         rec = tape.records[l]
-        if rec.inputs.shape[1] != model.weights[l].shape[1]:
-            raise ValueError(f"tape layer {l} does not match model weights")
         if rec.mask is not None:
             g = g * rec.mask
         if model.activations[l] == ACT_SILU:
@@ -271,11 +252,6 @@ def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> tuple[list[np.ndarray], AdamState]:
     """One bias-corrected Adam update, applied in place to ``params``."""
-    if not (len(params) == len(grads) == len(state.first_moment)):
-        raise ValueError(
-            f"parameter/gradient/moment counts differ: "
-            f"{len(params)}/{len(grads)}/{len(state.first_moment)}"
-        )
     if state._scratch is None:
         state._scratch = [np.empty_like(p) for p in params]
     state.step_count += 1
@@ -285,8 +261,6 @@ def adam_step(
     for p, g, m, v, work in zip(
         params, grads, state.first_moment, state.second_moment, state._scratch
     ):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
         m *= MOMENT1_DECAY
         np.multiply(g, 1.0 - MOMENT1_DECAY, out=work)
         m += work
@@ -572,7 +546,5 @@ def snapshot_params(params: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def restore_params(params: list[np.ndarray], snapshot: list[np.ndarray]) -> None:
-    if len(params) != len(snapshot):
-        raise ValueError("snapshot does not match parameter list")
     for p, s in zip(params, snapshot):
         p[...] = s

@@ -62,8 +62,8 @@ def tl1_sweep(desk_arrays) -> TimedSweep:
 def trained_ae(desk_dataset) -> TrainResult:
     shuffle_rng, rng = ae_streams(ACCEPT_SEED)
     return autoencoder.train_ae(
-        desk_dataset.spectra_for("train"),
-        desk_dataset.spectra_for("val"),
+        desk_dataset.spectra[desk_dataset.indices("train")],
+        desk_dataset.spectra[desk_dataset.indices("val")],
         accept_config(),
         shuffle_rng=shuffle_rng,
         rng=rng,

@@ -156,7 +156,7 @@ def _inverse_quality(model, single_model, ds):
         return mdn.rank_candidates(mdn.mixture_for(m, spectrum), spectrum, top).rmse.min()
 
     test_idx = ds.indices("test")[:50]
-    train_spectra = ds.spectra_for("train")
+    train_spectra = ds.spectra[ds.indices("train")]
     best, single, base = [], [], []
     for i in test_idx:
         spectrum = ds.spectra[i]
@@ -233,7 +233,8 @@ def test_criterion_7_autoencoder(desk_dataset, trained_ae, tl1_sweep, ae_sweep):
     """The latent pipeline stays functional: bounded degradation per K."""
     val_mse = trained_ae.best_val_loss
     baseline = mean_baseline_mse(
-        desk_dataset.spectra_for("train"), desk_dataset.spectra_for("val")
+        desk_dataset.spectra[desk_dataset.indices("train")],
+        desk_dataset.spectra[desk_dataset.indices("val")],
     )
     recon_ok = val_mse < baseline and val_mse <= AE_VAL_MSE_THRESHOLD
     degradation_ok = True

@@ -84,8 +84,8 @@ class TestTraining:
 
     def test_beats_mean_baseline(self):
         ds = dataset.generate_dataset(80, seed=5)
-        train = ds.spectra_for("train")
-        val = ds.spectra_for("val")
+        train = ds.spectra[ds.indices("train")]
+        val = ds.spectra[ds.indices("val")]
         cfg = TrainConfig(batch_size=32, learning_rate=3e-3, max_epochs=60,
                           patience=60, seed=0)
         fit = train_ae(train, val, cfg,
@@ -96,32 +96,32 @@ class TestTraining:
     def test_best_val_tracks_log_minimum(self):
         ds = dataset.generate_dataset(40, seed=6)
         cfg = TrainConfig(batch_size=16, max_epochs=12, patience=12, seed=0)
-        fit = train_ae(ds.spectra_for("train"), ds.spectra_for("val"), cfg,
+        fit = train_ae(ds.spectra[ds.indices("train")], ds.spectra[ds.indices("val")], cfg,
                        shuffle_rng=np.random.default_rng(5),
                        rng=np.random.default_rng(6))
         vals = [v for _, v in fit.log]
         assert fit.best_val_loss == min(vals)
         assert fit.epochs == len(fit.log)
         # restored model reproduces the best logged value
-        assert reconstruction_mse(fit.model, ds.spectra_for("val")) == pytest.approx(
+        assert reconstruction_mse(fit.model, ds.spectra[ds.indices("val")]) == pytest.approx(
             fit.best_val_loss, abs=1e-12
         )
 
     def test_latent_width_fixed_regardless_of_config(self):
         ds = dataset.generate_dataset(20, seed=7)
         cfg = TrainConfig(batch_size=64, max_epochs=2, patience=5, seed=0)
-        fit = train_ae(ds.spectra_for("train"), ds.spectra_for("val"), cfg,
+        fit = train_ae(ds.spectra[ds.indices("train")], ds.spectra[ds.indices("val")], cfg,
                        shuffle_rng=np.random.default_rng(7),
                        rng=np.random.default_rng(8))
         assert encode(fit.model, ds.spectra[0]).shape == (10,)
 
     def test_divergence_detected(self):
         ds = dataset.generate_dataset(20, seed=8)
-        spectra = ds.spectra_for("train").copy()
+        spectra = ds.spectra[ds.indices("train")].copy()
         spectra[0, 0] = np.nan  # poisons the reconstruction loss
         cfg = TrainConfig(batch_size=16, max_epochs=30, patience=30, seed=0)
         with pytest.raises(nncore.TrainingDivergedError):
-            train_ae(spectra, ds.spectra_for("val"), cfg,
+            train_ae(spectra, ds.spectra[ds.indices("val")], cfg,
                      shuffle_rng=np.random.default_rng(9),
                      rng=np.random.default_rng(10))
 

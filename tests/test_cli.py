@@ -610,6 +610,32 @@ class TestModelShape:
         assert not out.exists()
 
 
+class TestLatentPair:
+    """A checkpoint that takes 10-wide latents needs the autoencoder that gives them: one
+    stderr line naming the files, and nothing written."""
+
+    @pytest.mark.parametrize("command,encoder,code,reason", [
+        ("report", None, EXIT_IO, "{ae}: No such file or directory"),
+        ("predict", [101, 8, 7], EXIT_IO,
+         "{ae}: the encoder gives 7-wide latents, but {checkpoint} takes 10 inputs"),
+        ("predict", None, EXIT_USAGE,
+         "{checkpoint} takes 10 inputs, not spectra: give its autoencoder with --ae"),
+    ], ids=["report_without_ae_json", "predict_ae_of_another_latent_width", "predict_without_ae"])
+    def test_latent_checkpoint(self, command, encoder, code, reason, tiny_dataset, tmp_path,
+                               capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        ae, checkpoint = run_dir / "ae.json", run_dir / "mdn_k02.json"
+        rng = np.random.default_rng(0)
+        if encoder:
+            autoencoder.save_ae(ae, autoencoder.AeModel(
+                nncore.init_mlp(encoder, rng), nncore.init_mlp(encoder[::-1], rng)))
+        mdn.save_mdn(checkpoint, small_mdn([10, 8], 2, 5, rng))
+        got, err, out = run_on(run_dir, command, tiny_dataset, capsys)
+        assert (got, err) == (code, f"error: {reason.format(ae=ae, checkpoint=checkpoint)}\n")
+        assert not out.exists()
+
+
 class TestReport:
     SWEEP_FLAGS = ("--k-max", 2, "--strategy", "tl2", "--seed", 11, "--max-epochs", 10,
                    "--batch-size", 16)

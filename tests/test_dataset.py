@@ -292,10 +292,11 @@ class TestPersistence:
 class TestLabeledDataset:
     def test_split_views_align(self):
         ds = generate_dataset(40, seed=2)
+        arrays = arrays_from_dataset(ds)
         for split in ("train", "val", "test"):
             idx = ds.indices(split)
-            np.testing.assert_array_equal(ds.spectra_for(split), ds.spectra[idx])
-            targets = getattr(arrays_from_dataset(ds), f"{split}_y")
+            np.testing.assert_array_equal(getattr(arrays, f"{split}_x"), ds.spectra[idx])
+            targets = getattr(arrays, f"{split}_y")
             np.testing.assert_array_equal(targets, normalize_designs(ds.designs[idx]))
             assert np.all(targets >= 0.0) and np.all(targets <= 1.0)
 

@@ -45,7 +45,8 @@ LOADERS = {
 
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
-    """One valid file per loader; the checkpoints hold small models that take spectra."""
+    """One valid file per loader, whose checkpoints hold small models that take spectra, and
+    a small mixture over the autoencoder's 3-wide latents."""
     root = tmp_path_factory.mktemp("valid")
     ds = dataset.generate_dataset(10, seed=1)
     dataset.save_dataset(root / "dataset", ds)
@@ -58,6 +59,7 @@ def valid(tmp_path_factory):
     decoder = nncore.init_mlp([3, 4, 101], rng, activations=["silu", "identity"])
     autoencoder.save_ae(root / "autoencoder",
                         autoencoder.AeModel(nncore.init_mlp([101, 4, 3], rng), decoder))
+    mdn.save_mdn(root / "latent_checkpoint", small_mdn([3, 4], 2, mdn.N_DESIGN_PARAMS, rng))
     return root
 
 
@@ -99,7 +101,8 @@ def test_the_valid_files_load(valid):
 
 
 @pytest.mark.parametrize("command", ["predict --spectrum-file", "predict --checkpoint",
-                                     "train --dataset", "report sweep_results.csv"])
+                                     "predict --ae", "train --dataset",
+                                     "report sweep_results.csv"])
 @PROPERTY
 @given(data=ANY_BYTES)
 @example(data=NOT_UTF8)
@@ -114,7 +117,8 @@ def test_cli_exits_3_with_one_line(command, data, valid, tmp_path, capsys):
         (run_dir / role).write_bytes(data)
         argv = ["report", "--run-dir", run_dir]
     else:
-        flags = {"--spectrum-file": valid / "spectrum", "--checkpoint": valid / "checkpoint",
+        checkpoint = valid / ("latent_checkpoint" if role == "--ae" else "checkpoint")
+        flags = {"--spectrum-file": valid / "spectrum", "--checkpoint": checkpoint,
                  "--top": 1} if name == "predict" else {}
         flags[role] = tmp_path / "bad"
         flags[role].write_bytes(data)

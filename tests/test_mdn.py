@@ -415,7 +415,7 @@ class TestWeightedMarginal:
 class TestMdnCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
-        model = small_mdn([6, 8], 3, 2, rng)
+        model = small_mdn([6, 8], 3, mdn.N_DESIGN_PARAMS, rng)
         path = tmp_path / "mdn.json"
         mdn.save_mdn(path, model)
         loaded = mdn.load_mdn(path)

@@ -223,14 +223,6 @@ class TestBackward:
         for a, b in zip(grads, skipped):
             np.testing.assert_array_equal(a, b)
 
-    def test_vector_gradient_rejected(self):
-        """A vector forward records a batch of one, so its gradient is one row."""
-        rng = np.random.default_rng(0)
-        model = init_mlp([3, 4, 2], rng)
-        _, tape = forward(model, np.zeros(3))
-        with pytest.raises(ValueError, match="gradient shape"):
-            backward(model, tape, np.zeros(2))
-
     def test_tape_model_mismatch_raises(self):
         rng = np.random.default_rng(0)
         model = init_mlp([3, 4, 2], rng)
