@@ -256,6 +256,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _takes_latents(model: mdn.MdnModel) -> bool:
+    """Whether ``model`` was trained on an autoencoder's latents rather than on spectra."""
+    return model.input_width != dataset.N_WAVELENGTHS
+
+
 def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray,
                       ae_path) -> mdn.MixtureParams:
     """The mixture of ``model``, loaded from ``checkpoint``, for one spectrum, through the
@@ -289,7 +294,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not 1 <= args.top <= model.n_components:
         raise ValueError(f"--top {args.top} out of range [1, {model.n_components}]")
     spectrum = read_spectrum_file(args.spectrum_file)
-    latent = model.input_width != dataset.N_WAVELENGTHS
+    latent = _takes_latents(model)
     if args.ae and not latent:
         raise ValueError("this checkpoint takes spectra and needs no --ae")
     if latent and not args.ae:
@@ -385,9 +390,8 @@ def _test_record_mixture(args, run_dir: Path, ks: list[int]):
     model = mdn.load_mdn(checkpoint)
     record = test_idx[args.test_index]
     # only a latent model's: a spectrum sweep leaves an earlier --autoencoder sweep's ae.json
-    latent = model.input_width != dataset.N_WAVELENGTHS
     mix = _spectrum_mixture(model, checkpoint, ds.spectra[record],
-                            run_dir / "ae.json" if latent else None)
+                            run_dir / "ae.json" if _takes_latents(model) else None)
     return k, mix, ds.designs[record]
 
 

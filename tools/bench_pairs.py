@@ -1,20 +1,22 @@
 """Compare two checkouts on the benchmark in alternating pairs of runs.
 
     python tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \
-        [--workload W ...] [--pairs 5] [--first-seed 1] [--seconds 50]
+        [--workload W ...] [--pairs 5]
 
-Pair ``i`` runs ``python3 bench/run.py --workload W --seed SEED --seconds S --trace 0``
-in each checkout with the same seed, ``first_seed + i``; even pairs run the parent
-first and odd pairs the change, so a drift of the host weighs on both sides alike.
-Without ``--workload`` every workload of ``BENCHMARK.json`` runs.
+Pair ``i``, for ``i`` from 1 to N, runs
+``python3 bench/run.py --workload W --seed i --seconds S --trace 0`` in each
+checkout, where ``S`` is ``BENCHMARK.json``'s ``run_seconds``; odd pairs run the
+parent first and even pairs the change, so a drift of the host weighs on both sides
+alike.  Without ``--workload`` every workload of ``BENCHMARK.json`` runs.
 
 For each end-to-end metric of ``BENCHMARK.json`` and each workload the tool prints
 the parent's and the change's medians, the interquartile range of the parent's
 runs, how many pairs the change won (ties count for neither side), whether the
 change's median is worse than the parent's by more than the metric's bound (a
-fraction of the parent's median), and whether a gain could be claimed: a win in
-at least nine pairs of ten and a median gap wider than the parent's interquartile
-range.  Failed and attempted ops are summed per side.  The tool reads only
+fraction of the parent's median), and whether a gain could be claimed: at least
+ten pairs, a win in at least nine pairs of ten and a median gap wider than the
+parent's interquartile range; with fewer than ten pairs the claim column reads
+``n/a``.  Failed and attempted ops are summed per side.  The tool reads only
 ``BENCHMARK.json`` and ``bench/`` of each checkout.
 """
 
@@ -46,7 +48,9 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(parent, n=4)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     worse = sign * (c_med - p_med) > metric["bound"] * abs(p_med)
-    claim = wins >= 0.9 * len(parent) and sign * (p_med - c_med) > q3 - q1
+    claim = None  # n/a: a claim needs at least ten pairs
+    if len(parent) >= 10:
+        claim = wins >= 0.9 * len(parent) and sign * (p_med - c_med) > q3 - q1
     return {"parent": p_med, "change": c_med, "parent_iqr": q3 - q1, "wins": wins,
             "worse_than_bound": worse, "claim": claim}
 
@@ -57,25 +61,20 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="the change's checkout")
     parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for an interquartile range")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     for workload in workloads:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for seed in range(1, args.pairs + 1):
+            order = ("parent", "change") if seed % 2 == 1 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(getattr(args, side), workload, seed, seconds))
             print(f"# {workload} seed {seed}: done", file=sys.stderr, flush=True)
-        print(f"{workload}: {args.pairs} pairs, seeds {args.first_seed}.."
-              f"{args.first_seed + args.pairs - 1}, {seconds:g} s runs")
+        print(f"{workload}: {args.pairs} pairs, seeds 1..{args.pairs}, {seconds:g} s runs")
         for side, results in runs.items():
             print(f"  {side}: {sum(r['failed'] for r in results)} of "
                   f"{sum(r['attempted'] for r in results)} ops failed")
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
             print(f"  {name:<12} {row['parent']:>12.6g} {row['change']:>12.6g} "
                   f"{row['parent_iqr']:>12.4g} {row['wins']:>3}/{args.pairs:<2} "
                   f"{'yes' if row['worse_than_bound'] else 'no':>12} "
-                  f"{'yes' if row['claim'] else 'no':>6}")
+                  f"{ {True: 'yes', False: 'no', None: 'n/a'}[row['claim']]:>6}")
         print(json.dumps({"workload": workload, "runs": runs}), file=sys.stderr)
     return 0
 
