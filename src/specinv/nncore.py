@@ -226,54 +226,64 @@ def backward(
 MOMENT1_DECAY = 0.9
 MOMENT2_DECAY = 0.999
 ADAM_EPSILON = 1e-8
+# elements per Adam block: five 256 KiB slices (parameter, gradient, moments, work) fit 2 MiB L2
+ADAM_BLOCK = 32768
 
 
 @dataclass
 class AdamState:
-    """Adam moments matching a parameter list element-for-element."""
+    """Adam moments per parameter array, as running sums ``M = m/(1-β1)``, ``V = v/(1-β2)``."""
 
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     learning_rate: float
     step_count: int = 0
-    # reused work buffers, never part of the optimizer's logical state
-    _scratch: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
+    # its parameters, and block views of them, the moments and one work buffer: not logical state
+    _params: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
+    _blocks: list[tuple] = field(default_factory=list, repr=False, compare=False)
 
 
 def adam_init(params: list[np.ndarray], learning_rate: float) -> AdamState:
-    return AdamState(
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
-        learning_rate=learning_rate,
-    )
+    """Zero moments for ``params``; ``adam_step`` updates these very arrays through views."""
+    if not all(p.flags.c_contiguous for p in params):
+        raise ValueError("Adam parameters must be C-contiguous, or a copy's updates miss the model")
+    state = AdamState([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params],
+                      learning_rate, _params=list(params))
+    work = np.empty(min(ADAM_BLOCK, max((p.size for p in params), default=0)))
+    for i, arrays in enumerate(zip(params, state.first_moment, state.second_moment)):
+        p, m, v = (a.reshape(-1) for a in arrays)
+        for s in (slice(lo, lo + ADAM_BLOCK) for lo in range(0, p.size, ADAM_BLOCK)):
+            state._blocks.append((i, s, p[s], m[s], v[s], work[: len(p[s])]))
+    return state
 
 
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update, applied in place to ``params``."""
-    if state._scratch is None:
-        state._scratch = [np.empty_like(p) for p in params]
+    """One bias-corrected Adam update in place on ``params``, in ten passes per block.
+
+    Kingma and Ba's ``lr m̂ / (sqrt(v̂) + ε)`` is ``c M / (sqrt(V) + ε / r)``, with
+    ``r = sqrt((1 - β2) / (1 - β2^t))`` and ``c = lr (1 - β1) / ((1 - β1^t) r)``.
+    """
+    if len(params) != len(state._params) or any(p is not q for p, q in zip(params, state._params)):
+        raise ValueError("adam_step: params are not the arrays its AdamState was built for")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - MOMENT1_DECAY**t
-    bc2 = 1.0 - MOMENT2_DECAY**t
-    for p, g, m, v, work in zip(
-        params, grads, state.first_moment, state.second_moment, state._scratch
-    ):
+    r = math.sqrt((1.0 - MOMENT2_DECAY) / (1.0 - MOMENT2_DECAY**t))
+    c = state.learning_rate * (1.0 - MOMENT1_DECAY) / ((1.0 - MOMENT1_DECAY**t) * r)
+    eps = ADAM_EPSILON / r
+    flat = [g.reshape(p.size) for p, g in zip(params, grads)]
+    for i, s, p, m, v, work in state._blocks:
+        g = flat[i][s]
         m *= MOMENT1_DECAY
-        np.multiply(g, 1.0 - MOMENT1_DECAY, out=work)
-        m += work
+        m += g
         v *= MOMENT2_DECAY
         np.multiply(g, g, out=work)
-        work *= 1.0 - MOMENT2_DECAY
         v += work
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), built in the work buffer
-        np.divide(v, bc2, out=work)
-        np.sqrt(work, out=work)
-        work += ADAM_EPSILON
+        np.sqrt(v, out=work)
+        work += eps
         np.divide(m, work, out=work)
-        work *= state.learning_rate / bc1
+        work *= c
         p -= work
     return params, state
 

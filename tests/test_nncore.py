@@ -26,7 +26,12 @@ from specinv.nncore import (
     init_mlp,
 )
 from specinv.train import TrainConfig
-from util import csv_writer_bytes, finite_difference_grads, max_rel_error
+from util import (
+    csv_writer_bytes,
+    finite_difference_grads,
+    max_rel_error,
+    reference_adam_step,
+)
 
 
 def silu(v):
@@ -264,6 +269,56 @@ class TestAdam:
         state = adam_init(params, learning_rate=1e-3)
         with pytest.raises(ValueError):
             adam_step(params, [np.ones(3)], state)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        extra_shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 20)), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-10.0, 3.0),
+        learning_rate=st.sampled_from([1e-4, 1e-3, 1e-2]),
+    )
+    def test_matches_the_textbook_update(self, extra_shapes, seed, log_scale, learning_rate):
+        """60 steps, each array within 16 ulps of its accumulated update ``sum_t |u_t|``.
+
+        With 8-element blocks the arrays span less than one block, exactly one (1-D and
+        2-D), three whole blocks, and several with a short last one.  Parameters start at
+        zero, so no rounding at a larger scale hides a wrong step; gradients span 17
+        decades, from well below ``ADAM_EPSILON``, and an array sometimes gets none.
+        """
+        shapes = [(3,), (8,), (2, 4), (3, 8), (5, 7), *extra_shapes]
+        params, want, path, first, second = ([np.zeros(s) for s in shapes] for _ in range(5))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nncore, "ADAM_BLOCK", 8)
+            state = adam_init(params, learning_rate=learning_rate)
+        rng = np.random.default_rng(seed)
+        for t in range(1, 61):
+            grads = [10.0 ** (log_scale + rng.uniform(-2.0, 2.0, size=s)) * rng.normal(size=s)
+                     * (rng.random() > 0.1) for s in shapes]
+            adam_step(params, grads, state)
+            before = [w.copy() for w in want]
+            reference_adam_step(want, grads, first, second, t, learning_rate)
+            for acc, w, b in zip(path, want, before):
+                acc += np.abs(w - b)
+        for got, w, acc in zip(params, want, path):
+            assert (np.abs(got - w) <= 16 * np.spacing(acc)).all()
+
+    def test_non_contiguous_parameter_raises(self):
+        """A transposed array would be updated through a copy, leaving the model unchanged."""
+        params = [np.ones((3, 2)), np.ones((2, 3)).T]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_init(params, learning_rate=1e-3)
+
+    def test_other_params_list_raises(self):
+        """The state's block views alias the arrays it was built for, and no others."""
+        params = [np.ones((2, 2)), np.ones(2)]
+        state = adam_init(params, learning_rate=1e-3)
+        grads = [np.ones((2, 2)), np.ones(2)]
+        for others in ([p.copy() for p in params], params[:1], params + [np.ones(2)]):
+            with pytest.raises(ValueError, match="not the arrays"):
+                adam_step(others, grads, state)
+        assert state.step_count == 0
+        adam_step(list(params), grads, state)  # a new list of the same arrays is the same model
+        assert (params[0] < 1.0).all()
 
     def test_defaults(self):
         assert nncore.MOMENT1_DECAY == 0.9

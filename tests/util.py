@@ -52,6 +52,35 @@ def max_rel_error(analytic, numeric):
     return worst
 
 
+def reference_adam_step(params, grads, first, second, t, learning_rate):
+    """Step ``t`` of Kingma and Ba's bias-corrected Adam, in place on ``params`` and on the
+    moments ``first`` and ``second``, which hold ``m`` and ``v`` as the paper defines them.
+
+    The textbook order, 13 passes per array: the oracle of ``nncore.adam_step``, which keeps
+    its moments as running sums and folds the bias corrections into two scalars.
+    """
+    from specinv.nncore import ADAM_EPSILON, MOMENT1_DECAY, MOMENT2_DECAY
+
+    bc1 = 1.0 - MOMENT1_DECAY**t
+    bc2 = 1.0 - MOMENT2_DECAY**t
+    for p, g, m, v in zip(params, grads, first, second):
+        work = np.empty_like(p)
+        m *= MOMENT1_DECAY
+        np.multiply(g, 1.0 - MOMENT1_DECAY, out=work)
+        m += work
+        v *= MOMENT2_DECAY
+        np.multiply(g, g, out=work)
+        work *= 1.0 - MOMENT2_DECAY
+        v += work
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=work)
+        np.sqrt(work, out=work)
+        work += ADAM_EPSILON
+        np.divide(m, work, out=work)
+        work *= learning_rate / bc1
+        p -= work
+
+
 def scalar_mixture_nll(pi, mu, sigma, y):
     """Directly coded stabilized loss: plain Python floats, no vectorization.
 

@@ -16,7 +16,9 @@ change's median is worse than the parent's by more than the metric's bound (a
 fraction of the parent's median), and whether a gain could be claimed: at least
 ten pairs, a win in at least nine pairs of ten and a median gap wider than the
 parent's interquartile range; with fewer than ten pairs the claim column reads
-``n/a``.  Failed and attempted ops are summed per side.  The tool reads only
+``n/a``.  The last column is the median of the paired differences (change minus
+parent): pairing cancels a drift of the host that the two medians keep.  Failed
+and attempted ops are summed per side.  The tool reads only
 ``BENCHMARK.json`` and ``bench/`` of each checkout.
 """
 
@@ -42,7 +44,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
-    """One table row: medians, the parent's interquartile range, wins and verdicts."""
+    """One table row: medians, the parent's interquartile range, wins, verdicts and the
+    median paired difference."""
     sign = 1.0 if metric["better"] == "lower" else -1.0  # sign * (value) falls as it improves
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4)
@@ -52,7 +55,8 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     if len(parent) >= 10:
         claim = wins >= 0.9 * len(parent) and sign * (p_med - c_med) > q3 - q1
     return {"parent": p_med, "change": c_med, "parent_iqr": q3 - q1, "wins": wins,
-            "worse_than_bound": worse, "claim": claim}
+            "worse_than_bound": worse, "claim": claim,
+            "paired_diff": statistics.median(c - p for p, c in zip(parent, change))}
 
 
 def main(argv=None) -> int:
@@ -79,7 +83,7 @@ def main(argv=None) -> int:
             print(f"  {side}: {sum(r['failed'] for r in results)} of "
                   f"{sum(r['attempted'] for r in results)} ops failed")
         print(f"  {'metric':<12} {'parent':>12} {'change':>12} {'parent IQR':>12} "
-              f"{'wins':>6} {'worse>bound':>12} {'claim':>6}")
+              f"{'wins':>6} {'worse>bound':>12} {'claim':>6} {'paired diff':>12}")
         for metric in spec["end_to_end"]:
             name = metric["name"]
             row = summarize(metric, *([r["metrics"][name]["value"] for r in runs[side]]
@@ -87,7 +91,8 @@ def main(argv=None) -> int:
             print(f"  {name:<12} {row['parent']:>12.6g} {row['change']:>12.6g} "
                   f"{row['parent_iqr']:>12.4g} {row['wins']:>3}/{args.pairs:<2} "
                   f"{'yes' if row['worse_than_bound'] else 'no':>12} "
-                  f"{ {True: 'yes', False: 'no', None: 'n/a'}[row['claim']]:>6}")
+                  f"{ {True: 'yes', False: 'no', None: 'n/a'}[row['claim']]:>6} "
+                  f"{row['paired_diff']:>12.4g}")
         print(json.dumps({"workload": workload, "runs": runs}), file=sys.stderr)
     return 0
 
