@@ -16,7 +16,7 @@ from .nncore import ACT_IDENTITY, ACT_SILU, MlpModel, TrainingDivergedError
 from .train import TrainConfig, TrainResult, fit
 
 ENCODER_WIDTHS = [101, 128, 256, 512, 256, 10]
-DECODER_WIDTHS = [10, 256, 512, 256, 128, 101]
+DECODER_WIDTHS = ENCODER_WIDTHS[::-1]
 
 
 @dataclass

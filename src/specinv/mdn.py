@@ -220,23 +220,17 @@ def batch_nll_and_grads(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean loss plus gradients ordered like ``model.parameters()``.
+    """Mean loss over input rows ``x`` and their target rows ``y`` (float64, at least one
+    row) plus gradients ordered like ``model.parameters()``.
 
     The gradient flows through the log-sum-exp mixture density, the exp/softmax
     output transforms, and the trunk (with dropout masks replayed from the
     forward tape when ``train`` is set).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"expected matching batches, got {x.shape} and {y.shape}")
-    b = x.shape[0]
-    if b == 0:
-        raise ValueError("empty batch")
     losses, (features, tape, log_pi, mu, sigma, log_phi, log_mix) = _batch_losses(
         model, x, y, train=train, dropout_rate=dropout_rate, rng=rng
     )
-    k, n = model.head.n_components, model.head.n_targets
+    b, k, n = len(x), model.head.n_components, model.head.n_targets
 
     # rho = d/dS of the density S through the outer shift: S / (S + eps),
     # written as a sigmoid of log S - log eps for stability.

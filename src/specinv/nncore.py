@@ -232,14 +232,12 @@ ADAM_BLOCK = 32768
 
 @dataclass
 class AdamState:
-    """Adam moments per parameter array, as running sums ``M = m/(1-β1)``, ``V = v/(1-β2)``."""
+    """Adam over the arrays ``adam_init`` was given, with moments as running sums
+    ``M = m/(1-β1)``, ``V = v/(1-β2)`` that only the block views below hold."""
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
     learning_rate: float
     step_count: int = 0
-    # its parameters, and block views of them, the moments and one work buffer: not logical state
-    _params: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
+    # (array index, slice, parameter view, M view, V view, work view) per block
     _blocks: list[tuple] = field(default_factory=list, repr=False, compare=False)
 
 
@@ -247,34 +245,31 @@ def adam_init(params: list[np.ndarray], learning_rate: float) -> AdamState:
     """Zero moments for ``params``; ``adam_step`` updates these very arrays through views."""
     if not all(p.flags.c_contiguous for p in params):
         raise ValueError("Adam parameters must be C-contiguous, or a copy's updates miss the model")
-    state = AdamState([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params],
-                      learning_rate, _params=list(params))
+    state = AdamState(learning_rate)
     work = np.empty(min(ADAM_BLOCK, max((p.size for p in params), default=0)))
-    for i, arrays in enumerate(zip(params, state.first_moment, state.second_moment)):
-        p, m, v = (a.reshape(-1) for a in arrays)
+    for i, p in enumerate(params):
+        p = p.reshape(-1)
+        m, v = np.zeros_like(p), np.zeros_like(p)
         for s in (slice(lo, lo + ADAM_BLOCK) for lo in range(0, p.size, ADAM_BLOCK)):
             state._blocks.append((i, s, p[s], m[s], v[s], work[: len(p[s])]))
     return state
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update in place on ``params``, in ten passes per block.
+def adam_step(grads: list[np.ndarray], state: AdamState) -> None:
+    """One bias-corrected Adam update in place on the state's parameters, in ten passes
+    per block; ``grads`` are ordered and sized like them.
 
     Kingma and Ba's ``lr m̂ / (sqrt(v̂) + ε)`` is ``c M / (sqrt(V) + ε / r)``, with
     ``r = sqrt((1 - β2) / (1 - β2^t))`` and ``c = lr (1 - β1) / ((1 - β1^t) r)``.
     """
-    if len(params) != len(state._params) or any(p is not q for p, q in zip(params, state._params)):
-        raise ValueError("adam_step: params are not the arrays its AdamState was built for")
     state.step_count += 1
     t = state.step_count
     r = math.sqrt((1.0 - MOMENT2_DECAY) / (1.0 - MOMENT2_DECAY**t))
     c = state.learning_rate * (1.0 - MOMENT1_DECAY) / ((1.0 - MOMENT1_DECAY**t) * r)
     eps = ADAM_EPSILON / r
-    flat = [g.reshape(p.size) for p, g in zip(params, grads)]
+    flat = [g.reshape(-1) for g in grads]
     for i, s, p, m, v, work in state._blocks:
-        g = flat[i][s]
+        g = flat[i][s].reshape(p.shape)  # raises on a wrong-sized gradient, which could broadcast
         m *= MOMENT1_DECAY
         m += g
         v *= MOMENT2_DECAY
@@ -285,7 +280,6 @@ def adam_step(
         np.divide(m, work, out=work)
         work *= c
         p -= work
-    return params, state
 
 
 @dataclass

@@ -159,7 +159,7 @@ def fit(
         for start in range(0, n_train, config.batch_size):
             idx = perm[start : start + config.batch_size]
             loss, grads = batch_loss_and_grads(idx)
-            nncore.adam_step(params, grads, adam)
+            nncore.adam_step(grads, adam)
             total += loss * len(idx)
         val = val_loss()
         log.append((total / n_train, val))

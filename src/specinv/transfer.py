@@ -49,8 +49,6 @@ def choose_donor(strategy: str, seed: int, k: int) -> int:
 def grow(model_prev: MdnModel, donor: int) -> MdnModel:
     """Untrained K-component model initialized from a trained (K-1)-component one."""
     head_prev = model_prev.head
-    if head_prev.feature_width != model_prev.trunk.output_width:
-        raise ValueError("head feature width does not match trunk output width")
     k_prev = head_prev.n_components
     if not 0 <= donor < k_prev:
         raise ValueError(f"donor {donor} out of range [0, {k_prev})")

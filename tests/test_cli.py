@@ -209,7 +209,7 @@ class TestSweepWrites:
     CHECKPOINTS = ["ae.json", "mdn_k01.json", "mdn_k02.json", "mdn_k03.json"]
 
     @pytest.mark.parametrize("name", ["ae.json", "mdn_k01.json", "mdn_k03.json"])
-    def test_failed_child_write_exits_3(self, name, tiny_dataset, tmp_path, monkeypatch, capsys):
+    def test_failed_write_exits_3(self, name, tiny_dataset, tmp_path, monkeypatch, capsys):
         """A failed write stops the sweep at once: no later model trains or is written."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "run" / name).mkdir(parents=True)

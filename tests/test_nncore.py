@@ -244,7 +244,7 @@ class TestAdam:
         before = [p.copy() for p in params]
         state = adam_init(params, learning_rate=1e-3)
         for _ in range(25):
-            adam_step(params, [np.zeros_like(p) for p in params], state)
+            adam_step([np.zeros_like(p) for p in params], state)
         for p, b in zip(params, before):
             np.testing.assert_array_equal(p, b)
 
@@ -253,7 +253,7 @@ class TestAdam:
         g = np.array([0.3, -2.0, 1e-6])
         params = [np.zeros(3)]
         state = adam_init(params, learning_rate=1e-3)
-        adam_step(params, [g], state)
+        adam_step([g], state)
         want = -1e-3 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(params[0], want, rtol=1e-12)
 
@@ -261,14 +261,21 @@ class TestAdam:
         params = [np.ones(2)]
         state = adam_init(params, learning_rate=1e-3)
         for n in range(1, 6):
-            adam_step(params, [np.ones(2)], state)
+            adam_step([np.ones(2)], state)
             assert state.step_count == n
 
     def test_shape_mismatch_raises(self):
         params = [np.ones((2, 2))]
         state = adam_init(params, learning_rate=1e-3)
         with pytest.raises(ValueError):
-            adam_step(params, [np.ones(3)], state)
+            adam_step([np.ones(3)], state)
+
+    def test_one_element_gradient_raises(self):
+        """Broadcast over its parameter's block, it would update every element alike."""
+        params = [np.ones((2, 2))]
+        state = adam_init(params, learning_rate=1e-3)
+        with pytest.raises(ValueError):
+            adam_step([np.ones(1)], state)
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(
@@ -294,7 +301,7 @@ class TestAdam:
         for t in range(1, 61):
             grads = [10.0 ** (log_scale + rng.uniform(-2.0, 2.0, size=s)) * rng.normal(size=s)
                      * (rng.random() > 0.1) for s in shapes]
-            adam_step(params, grads, state)
+            adam_step(grads, state)
             before = [w.copy() for w in want]
             reference_adam_step(want, grads, first, second, t, learning_rate)
             for acc, w, b in zip(path, want, before):
@@ -307,18 +314,6 @@ class TestAdam:
         params = [np.ones((3, 2)), np.ones((2, 3)).T]
         with pytest.raises(ValueError, match="C-contiguous"):
             adam_init(params, learning_rate=1e-3)
-
-    def test_other_params_list_raises(self):
-        """The state's block views alias the arrays it was built for, and no others."""
-        params = [np.ones((2, 2)), np.ones(2)]
-        state = adam_init(params, learning_rate=1e-3)
-        grads = [np.ones((2, 2)), np.ones(2)]
-        for others in ([p.copy() for p in params], params[:1], params + [np.ones(2)]):
-            with pytest.raises(ValueError, match="not the arrays"):
-                adam_step(others, grads, state)
-        assert state.step_count == 0
-        adam_step(list(params), grads, state)  # a new list of the same arrays is the same model
-        assert (params[0] < 1.0).all()
 
     def test_defaults(self):
         assert nncore.MOMENT1_DECAY == 0.9
@@ -544,7 +539,7 @@ class TestDeterminism:
                 out, tape = forward(model, x, train=True, dropout_rate=0.2, rng=drop_rng)
                 g_out = 2.0 * (out - t) / out.size
                 grads, _ = backward(model, tape, g_out)
-                adam_step(params, grads, state)
+                adam_step(grads, state)
             return [p.copy() for p in params]
 
         for a, b in zip(run(), run()):

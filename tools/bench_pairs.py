@@ -1,9 +1,11 @@
 """Compare two checkouts on the benchmark in alternating pairs of runs.
 
     python tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \
-        [--workload W ...] [--pairs 5]
+        [--workload W ...] [--pairs 10]
 
-Pair ``i``, for ``i`` from 1 to N, runs
+Pair ``i``, for ``i`` from 1 to N (``--pairs``, by default 10: the fewest a claim
+needs, and fewer let a noisy metric such as sweep_ae's ``setup_s`` read a change to
+other code as beyond its bound), runs
 ``python3 bench/run.py --workload W --seed i --seconds S --trace 0`` in each
 checkout, where ``S`` is ``BENCHMARK.json``'s ``run_seconds``; odd pairs run the
 parent first and even pairs the change, so a drift of the host weighs on both sides
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
     parser.add_argument("--change", type=Path, required=True, help="the change's checkout")
     parser.add_argument("--workload", action="append", help="default: every workload")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for an interquartile range")
