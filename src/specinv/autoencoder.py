@@ -65,8 +65,9 @@ def train_ae(
 
     def batch_loss_and_grads(idx):
         batch = train_spectra[idx]
-        latent, enc_tape = nncore.forward(model.encoder, batch)
-        recon, dec_tape = nncore.forward(model.decoder, latent)
+        # no layer drops out: the train flag only keeps the tapes
+        latent, enc_tape = nncore.forward(model.encoder, batch, train=True)
+        recon, dec_tape = nncore.forward(model.decoder, latent, train=True)
         err = recon - batch
         loss = float(np.mean(err * err))
         if not math.isfinite(loss):

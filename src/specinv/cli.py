@@ -359,7 +359,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             x_label="epoch",
             y_label="NLL",
         )
-        svgplot.write_svg(out_dir / f"loss_curves_k{k:02d}.svg", svg)
+        (out_dir / f"loss_curves_k{k:02d}.svg").write_text(svg, encoding="utf-8")
 
     svg = svgplot.line_chart(
         [
@@ -371,7 +371,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         x_label="K",
         y_label="NLL",
     )
-    svgplot.write_svg(out_dir / "nll_vs_k.svg", svg)
+    (out_dir / "nll_vs_k.svg").write_text(svg, encoding="utf-8")
 
     if marginals is not None:
         _write_marginals(out_dir, *marginals)
@@ -413,7 +413,7 @@ def _write_marginals(out_dir: Path, k: int, mix: mdn.MixtureParams, truth: np.nd
             y_label="density [1/nm]",
             vlines=[(f"true {name} = {truth[c]:.1f}", float(truth[c]))],
         )
-        svgplot.write_svg(out_dir / f"marginal_{name}.svg", svg)
+        (out_dir / f"marginal_{name}.svg").write_text(svg, encoding="utf-8")
 
 
 # --- argument parsing -------------------------------------------------------------

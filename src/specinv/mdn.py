@@ -227,8 +227,9 @@ def batch_nll_and_grads(
     output transforms, and the trunk (with dropout masks replayed from the
     forward tape when ``train`` is set).
     """
+    # an eval pass keeps no tape, so a gradient without dropout is a train pass at rate 0
     losses, (features, tape, log_pi, mu, sigma, log_phi, log_mix) = _batch_losses(
-        model, x, y, train=train, dropout_rate=dropout_rate, rng=rng
+        model, x, y, train=True, dropout_rate=dropout_rate if train else 0.0, rng=rng
     )
     b, k, n = len(x), model.head.n_components, model.head.n_targets
 

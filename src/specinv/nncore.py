@@ -137,7 +137,7 @@ class _LayerRecord:
 
 @dataclass
 class Tape:
-    """Activation record from one forward pass; replays dropout masks exactly."""
+    """Activation record from one train-mode forward pass; replays dropout masks exactly."""
 
     records: list[_LayerRecord]
 
@@ -157,8 +157,10 @@ def forward(
 
     In train mode, inverted dropout (scale by 1/(1-rate)) is applied after the
     activation of every layer in ``dropout_after``; in eval mode dropout is the
-    identity and the output does not depend on ``rng``.  The tape always holds
-    a batch: a vector's tape takes a (1, output_width) gradient.
+    identity and the output does not depend on ``rng``.  Only train mode
+    records the tape ``backward`` needs, always for a batch: a vector's tape
+    takes a (1, output_width) gradient.  An eval tape is empty, so each layer's
+    activations are freed as the pass goes.
     """
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
@@ -189,7 +191,8 @@ def forward(
             np.less(mask, keep, out=mask)
             mask /= keep
             h = h * mask
-        records.append(_LayerRecord(inputs=a, pre_act=z, sig=sig, mask=mask))
+        if train:
+            records.append(_LayerRecord(inputs=a, pre_act=z, sig=sig, mask=mask))
         a = h
     out = a[0] if single else a
     return out, Tape(records)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Sequence
 
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
@@ -27,6 +26,18 @@ def _tick(value: float) -> str:
     if abs(value) >= 1000 or abs(value) < 0.01:
         return f"{value:.2e}"
     return f"{value:.3g}"
+
+
+def _line(x1, y1, x2, y2, stroke: str, width, extra: str = "") -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"{extra}/>')
+
+
+def _text(x, y, text: str, size: int, anchor: str = "", tail: str = "") -> str:
+    """A Helvetica label; ``tail`` holds attributes after font-family, each space-led."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-size="{size}" '
+            f'font-family="Helvetica"{tail}>{_escape(text)}</text>')
 
 
 def line_chart(
@@ -65,81 +76,40 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="34" text-anchor="middle" font-size="20" '
-        f'font-family="Helvetica">{_escape(title)}</text>',
+        _text(f"{_WIDTH / 2:.1f}", 34, title, 20, "middle"),
     ]
     n_ticks = 5
     for i in range(n_ticks + 1):
         yv = y_min + (y_max - y_min) * i / n_ticks
         y = py(yv)
-        out.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{right}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
-            f'font-family="Helvetica">{_tick(yv)}</text>'
-        )
+        out += [_line(left, f"{y:.2f}", right, f"{y:.2f}", "#dddddd", 1),
+                _text(left - 8, f"{y + 4:.2f}", _tick(yv), 12, "end")]
         xv = x_min + (x_max - x_min) * i / n_ticks
-        x = px(xv)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 5}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.2f}" y="{bottom + 22}" text-anchor="middle" font-size="12" '
-            f'font-family="Helvetica">{_tick(xv)}</text>'
-        )
-    out.append(
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" '
-        f'stroke="#000000" stroke-width="2"/>'
-    )
-    out.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" '
-        f'stroke="#000000" stroke-width="2"/>'
-    )
+        x = f"{px(xv):.2f}"
+        out += [_line(x, bottom, x, bottom + 5, "#000000", 1),
+                _text(x, bottom + 22, _tick(xv), 12, "middle")]
+    out += [_line(left, bottom, right, bottom, "#000000", 2),
+            _line(left, top, left, bottom, "#000000", 2)]
 
-    legend_y = top + 16
     for i, (label, xs, ys) in enumerate(series):
         color = COLORS[i % len(COLORS)]
         pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(xs, ys))
-        out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
-        )
-        ly = legend_y + i * 22
-        out.append(
-            f'<line x1="{right + 16}" y1="{ly}" x2="{right + 38}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{right + 44}" y="{ly + 4}" font-size="13" '
-            f'font-family="Helvetica">{_escape(label)}</text>'
-        )
+        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>')
+        ly = top + 16 + i * 22
+        out += [_line(right + 16, ly, right + 38, ly, color, 2),
+                _text(right + 44, ly + 4, label, 13)]
 
     for j, (label, xv) in enumerate(vlines):
         x = px(float(xv))
-        out.append(
-            f'<line x1="{x:.2f}" y1="{top}" x2="{x:.2f}" y2="{bottom}" '
-            f'stroke="#444444" stroke-width="1.5" stroke-dasharray="6,4"/>'
-        )
-        if label:
-            out.append(
-                f'<text x="{x + 4:.2f}" y="{top + 14 + 14 * j}" font-size="12" '
-                f'font-family="Helvetica" fill="#444444">{_escape(label)}</text>'
-            )
+        out.append(_line(f"{x:.2f}", top, f"{x:.2f}", bottom, "#444444", 1.5,
+                         ' stroke-dasharray="6,4"'))
+        if label:  # offset from the unrounded x
+            out.append(_text(f"{x + 4:.2f}", top + 14 + 14 * j, label, 12,
+                             tail=' fill="#444444"'))
 
-    out.append(
-        f'<text x="{(left + right) / 2:.1f}" y="{_HEIGHT - 28}" text-anchor="middle" '
-        f'font-size="14" font-family="Helvetica">{_escape(x_label)}</text>'
-    )
-    mid_y = (top + bottom) / 2
-    out.append(
-        f'<text x="24" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
-        f'font-family="Helvetica" transform="rotate(-90 24 {mid_y:.1f})">{_escape(y_label)}</text>'
-    )
+    out.append(_text(f"{(left + right) / 2:.1f}", _HEIGHT - 28, x_label, 14, "middle"))
+    mid_y = f"{(top + bottom) / 2:.1f}"
+    out.append(_text(24, mid_y, y_label, 14, "middle", f' transform="rotate(-90 24 {mid_y})"'))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
-
-def write_svg(path: str | Path, svg: str) -> None:
-    Path(path).write_text(svg, encoding="utf-8")

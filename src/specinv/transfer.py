@@ -58,10 +58,7 @@ def grow(model_prev: MdnModel, donor: int) -> MdnModel:
 
     def extend(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = slice(donor * n, (donor + 1) * n)
-        return (
-            np.vstack([w, w[rows].copy()]),
-            np.concatenate([b, b[rows].copy()]),
-        )
+        return np.vstack([w, w[rows]]), np.concatenate([b, b[rows]])
 
     mu_w, mu_b = extend(head_prev.mu_w, head_prev.mu_b)
     sigma_w, sigma_b = extend(head_prev.sigma_w, head_prev.sigma_b)

@@ -16,6 +16,7 @@ from specinv import mdn, nncore
 from specinv.nncore import (
     ACT_IDENTITY,
     ACT_SILU,
+    DatasetFormatError,
     EarlyStopping,
     MlpModel,
     TrainingDivergedError,
@@ -163,7 +164,7 @@ class TestBackward:
     def test_zero_output_gradient(self):
         rng = np.random.default_rng(1)
         model = init_mlp([3, 4, 2], rng)
-        _, tape = forward(model, rng.normal(size=3))
+        _, tape = forward(model, rng.normal(size=3), train=True)
         grads, gin = backward(model, tape, np.zeros((1, 2)))
         for g in grads:
             assert not g.any()
@@ -178,7 +179,7 @@ class TestBackward:
             activations=[ACT_IDENTITY],
         )
         x = np.array([1.5, -2.0, 0.25])
-        _, tape = forward(model, x)
+        _, tape = forward(model, x, train=True)
         grads, _ = backward(model, tape, np.ones((1, 1)))
         np.testing.assert_array_equal(grads[0], x[None, :])
         np.testing.assert_array_equal(grads[1], np.ones(1))
@@ -193,7 +194,7 @@ class TestBackward:
             out, _ = forward(model, x)
             return float(out @ w)
 
-        _, tape = forward(model, x)
+        _, tape = forward(model, x, train=True)
         grads, _ = backward(model, tape, w[None, :])
         numeric = finite_difference_grads(loss, model.parameters())
         assert max_rel_error(grads, numeric) <= 1e-4
@@ -232,7 +233,7 @@ class TestBackward:
         rng = np.random.default_rng(0)
         model = init_mlp([3, 4, 2], rng)
         other = init_mlp([3, 2], rng)
-        _, tape = forward(model, np.zeros(3))
+        _, tape = forward(model, np.zeros(3), train=True)
         with pytest.raises(ValueError):
             backward(other, tape, np.zeros(2))
 
@@ -520,6 +521,20 @@ class TestWriteCsv:
         rows = [(1, "train", 0.5, 0.5), (2, f"a{char}b", 0.5, 0.5)]
         with pytest.raises(ValueError, match="column tag: "):
             nncore.write_csv(tmp_path / "t.csv", CSV_COLUMNS, rows)
+
+    @pytest.mark.parametrize("quoted_lines", [1, 2], ids=["one_line_cells", "two_line_cell"])
+    def test_bad_cell_past_the_first_block_names_its_line_and_text(self, quoted_lines,
+                                                                    tmp_path):
+        """Record 200 of 300 is in the reader's second block of records; its cell is named
+        by its own line and text, also after a quoted cell spanning two lines."""
+        records = [f"{i},t,{i}.25,0.5" for i in range(1, 301)]
+        records[149] = '150,"two' + "\n" * (quoted_lines - 1) + ' lines",150.25,0.5'
+        records[199] = "200,t,oops,0.5"
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(["rank,tag,x,y", *records]) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as err:
+            nncore.read_csv(path, CSV_COLUMNS)
+        assert str(err.value) == f"{path}: line {200 + quoted_lines}: cannot read x from 'oops'"
 
 
 class TestDeterminism:
