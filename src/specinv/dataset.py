@@ -11,9 +11,9 @@ near-identical spectra (a deliberately multi-valued inverse problem).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +34,9 @@ DEFAULT_SAMPLE_COUNT = 3848
 SURROGATE_VERSION = "three-peak-1"
 
 _SOBOL_BLOCK = 1024  # fixed draw size keeps rejection sampling reproducible
+_SOBOL_BITS = 30
+# Joe and Kuo's (2008) primitive polynomial and initial direction numbers of dimensions 2 to 5
+_SOBOL_INITIAL = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)))
 
 
 @dataclass(frozen=True)
@@ -96,22 +99,44 @@ def scale_and_filter(points: np.ndarray) -> np.ndarray:
     return scaled[design_faults(scaled) == ""]
 
 
+def _sobol_blocks(seed: int, size: int):
+    """Consecutive blocks of ``size`` points of scipy's ``qmc.Sobol(d=5, seed=seed)``, bit for
+    bit: Joe and Kuo's direction numbers with Matousek's (1998) LMS+shift scrambling, drawn from
+    ``default_rng(seed)`` in scipy's order, and the points in Gray-code order from the shift."""
+    bit = np.arange(_SOBOL_BITS)
+    v = np.ones((N_DIMS, _SOBOL_BITS), dtype=np.int64)
+    for d, (poly, initial) in enumerate(_SOBOL_INITIAL, start=1):
+        m = len(initial)
+        v[d, :m] = initial
+        for j in range(m, _SOBOL_BITS):
+            v[d, j] = v[d, j - m]
+            for k in range(m):
+                v[d, j] ^= (poly >> (m - 1 - k) & 1) * v[d, j - k - 1] << (k + 1)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(N_DIMS, _SOBOL_BITS), dtype=np.uint32) @ (1 << bit)
+    lower = np.tril(rng.integers(2, size=(N_DIMS, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    lower[:, bit, bit] = 1
+    # bits most significant first, the first direction number's on top; scramble over GF(2)
+    msb = _SOBOL_BITS - 1 - bit
+    v_bits = (v << msb)[..., None] >> msb & 1
+    directions = (np.einsum("dpm,djm->djp", lower, v_bits) % 2) @ (1 << msb)
+    for start in itertools.count(0, size):
+        i = np.arange(start, start + size)[:, None]
+        points = np.tile(shift, (size, 1))
+        for k in bit:  # XOR in direction k where bit k of the point's Gray code is set
+            points ^= ((i ^ i >> 1) >> k & 1) * directions[:, k]
+        yield points * 2.0 ** -_SOBOL_BITS
+
+
 def generate_designs(n: int, seed: int) -> list[DesignParams]:
     """Valid designs from one randomized Sobol stream, drawn until n survive the filter."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # scipy.stats takes longer to import than most commands take to run; only sampling needs it
-    from scipy.stats import qmc
-
-    engine = qmc.Sobol(d=N_DIMS, seed=seed)
     blocks: list[np.ndarray] = []
-    kept = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        while kept < n:
-            blocks.append(scale_and_filter(engine.random(_SOBOL_BLOCK)))
-            kept += len(blocks[-1])
-    return [DesignParams.from_array(row) for row in np.concatenate(blocks)[:n]]
+    for points in _sobol_blocks(seed, _SOBOL_BLOCK):
+        blocks.append(scale_and_filter(points))
+        if sum(map(len, blocks)) >= n:
+            return [DesignParams.from_array(row) for row in np.concatenate(blocks)[:n]]
 
 
 # --- forward model ----------------------------------------------------------------

@@ -216,7 +216,6 @@ def batch_nll_and_grads(
     model: MdnModel,
     x: np.ndarray,
     y: np.ndarray,
-    train: bool = False,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, list[np.ndarray]]:
@@ -224,12 +223,12 @@ def batch_nll_and_grads(
     row) plus gradients ordered like ``model.parameters()``.
 
     The gradient flows through the log-sum-exp mixture density, the exp/softmax
-    output transforms, and the trunk (with dropout masks replayed from the
-    forward tape when ``train`` is set).
+    output transforms, and the trunk (with dropout masks, drawn from ``rng`` when
+    ``dropout_rate`` is positive, replayed from the forward tape).
     """
-    # an eval pass keeps no tape, so a gradient without dropout is a train pass at rate 0
+    # an eval pass keeps no tape, so even a gradient without dropout takes a train pass
     losses, (features, tape, log_pi, mu, sigma, log_phi, log_mix) = _batch_losses(
-        model, x, y, train=True, dropout_rate=dropout_rate if train else 0.0, rng=rng
+        model, x, y, train=True, dropout_rate=dropout_rate, rng=rng
     )
     b, k, n = len(x), model.head.n_components, model.head.n_targets
 

@@ -185,7 +185,7 @@ def train_mdn(
     def batch_loss_and_grads(idx):
         return mdn.batch_nll_and_grads(
             model, data.train_x[idx], data.train_y[idx],
-            train=True, dropout_rate=config.dropout_rate, rng=dropout_rng,
+            dropout_rate=config.dropout_rate, rng=dropout_rng,
         )
 
     def val_loss():

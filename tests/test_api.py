@@ -1,5 +1,5 @@
 """The package's public surface: what ``specinv`` exports, what README imports from it, and
-which of its modules may parse CSV."""
+which of its modules may parse CSV or import scipy."""
 
 import ast
 import inspect
@@ -39,6 +39,19 @@ def test_only_nncore_imports_csv():
         or (isinstance(node, ast.ImportFrom) and node.module == "csv")
     }
     assert sorted(importers) == ["nncore.py"]
+
+
+def test_no_module_imports_scipy():
+    """The runtime needs numpy alone; scipy is the tests' oracle, not a dependency."""
+    importers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    }
+    assert sorted(importers) == []
 
 
 def test_every_public_parameter_is_set_in_src():

@@ -968,24 +968,24 @@ class TestExitCodes:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_cli_import_leaves_sobol_sampling_unloaded():
-    """scipy.stats costs more to import than a predict costs to run: only sampling loads it."""
+def test_generate_dataset_loads_no_scipy():
+    """Sobol sampling is specinv's own: gen-data's whole pipeline runs without scipy,
+    whose import costs more than a predict costs to run."""
     probe = (
         "import sys\n"
         "import specinv.cli\n"
-        "print('scipy.stats' in sys.modules)\n"
-        "specinv.dataset.generate_designs(10, seed=0)\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "specinv.dataset.generate_dataset(40, seed=0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy():
-    """Only gen-data's Sobol sampling needs scipy; every other command runs without it.
-    Sweep writes its checkpoints in-process, so no process-pool module loads either."""
+    """No command needs scipy. Sweep writes its checkpoints in-process, so no process-pool
+    module loads either."""
     probe = (
         "import sys\n"
         "import specinv.cli\n"

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from specinv import dataset
 from specinv.dataset import (
@@ -62,6 +65,25 @@ class TestScaleAndFilter:
         short, long = generate_designs(700, seed=3), generate_designs(1600, seed=3)
         assert len(long) == 1600
         assert short == long[:700]
+
+
+class TestSobolSampler:
+    """scipy's ``qmc.Sobol`` is the oracle: the sampler draws its points bit for bit."""
+
+    @settings(max_examples=24, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64))
+    @example(seed=0)
+    @example(seed=3)
+    def test_consecutive_blocks_match_scipy(self, seed):
+        engine = qmc.Sobol(d=dataset.N_DIMS, seed=seed)
+        blocks = dataset._sobol_blocks(seed, dataset._SOBOL_BLOCK)
+        for _ in range(8):
+            np.testing.assert_array_equal(next(blocks), engine.random(dataset._SOBOL_BLOCK))
+
+    def test_one_long_draw_matches_scipy(self):
+        """2**16 points reach the sixteenth direction number of every dimension."""
+        np.testing.assert_array_equal(next(dataset._sobol_blocks(21, 2**16)),
+                                      qmc.Sobol(d=dataset.N_DIMS, seed=21).random(2**16))
 
 
 class TestDesignParams:

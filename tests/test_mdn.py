@@ -208,6 +208,23 @@ class TestBatchLoss:
         )
         assert max_rel_error(grads, numeric) <= 1e-4
 
+    def test_positive_dropout_rate_turns_dropout_on(self):
+        """A positive rate with its rng is the one switch: the loss and gradient are those
+        of a masked trunk pass, drawn from the rng, not the eval pass's."""
+        model, rng = self._toy()
+        assert model.trunk.dropout_after
+        x = rng.normal(size=(4, 6))
+        y = rng.normal(size=(4, 2))
+        plain_loss, plain = batch_nll_and_grads(model, x, y)
+        loss, grads = batch_nll_and_grads(model, x, y, dropout_rate=0.5,
+                                          rng=np.random.default_rng(3))
+        again_loss, again = batch_nll_and_grads(model, x, y, dropout_rate=0.5,
+                                                rng=np.random.default_rng(3))
+        assert loss != plain_loss
+        assert any(not np.array_equal(g, p) for g, p in zip(grads, plain))
+        assert loss == again_loss
+        assert all(np.array_equal(g, a) for g, a in zip(grads, again))
+
     def test_empty_batch_rejected(self):
         model, _ = self._toy()
         with pytest.raises(ValueError, match="empty"):

@@ -1,9 +1,11 @@
 """Engine-level tests: activations, forward/backward, Adam, early stopping, checkpoints."""
 
+import json
 import math
 import re
 import string
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from specinv import mdn, nncore
+from specinv import autoencoder, mdn, nncore
 from specinv.nncore import (
     ACT_IDENTITY,
     ACT_SILU,
@@ -32,7 +34,11 @@ from util import (
     finite_difference_grads,
     max_rel_error,
     reference_adam_step,
+    small_mdn,
 )
+
+SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "checkpoint.schema.json")
+                    .read_text(encoding="utf-8"))
 
 
 def silu(v):
@@ -72,7 +78,7 @@ def ulp_distance(a, b):
 
 
 class TestSigmoid:
-    """scipy's expit is the oracle; scipy stays installed for Sobol sampling."""
+    """scipy's expit is the oracle; scipy is a test dependency only."""
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(z=st.lists(st.floats(), min_size=1, max_size=40))
@@ -374,6 +380,47 @@ class TestCheckpoint:
         assert loaded.dropout_after == model.dropout_after
         for a, b in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["mdn", "autoencoder"])
+    def test_writers_follow_the_schema(self, tmp_path, kind):
+        """docs/checkpoint.schema.json describes what the writers save: each object holds
+        exactly its required and described keys, the constants hold, every activation is in
+        the enum and every array is a floatarray string."""
+        rng = np.random.default_rng(17)
+        path = tmp_path / "model.json"
+        if kind == "mdn":
+            mdn.save_mdn(path, small_mdn([6, 8], 2, 5, rng))
+        else:
+            decoder = init_mlp([3, 4, 101], rng, activations=[ACT_SILU, ACT_IDENTITY])
+            autoencoder.save_ae(path, autoencoder.AeModel(init_mlp([101, 4, 3], rng), decoder))
+        saved = json.loads(path.read_text(encoding="utf-8"))
+        branch = next(b for b in SCHEMA["oneOf"] if b["properties"]["kind"]["const"] == kind)
+        mlp_schema = SCHEMA["definitions"]["mlp"]
+
+        def assert_keys(obj, *schemas):
+            required = {key for schema in schemas for key in schema["required"]}
+            described = {key for schema in schemas for key in schema["properties"]}
+            assert set(obj) == required == described
+
+        assert_keys(saved, SCHEMA, branch)
+        described = {**SCHEMA["properties"], **branch["properties"]}
+        for key, schema in described.items():
+            if "const" in schema:
+                assert saved[key] == schema["const"], key
+        arrays = []
+        for key, schema in branch["properties"].items():
+            if schema.get("$ref") == "#/definitions/mlp":
+                mlp = saved[key]
+                assert_keys(mlp, mlp_schema)
+                assert set(mlp["activations"]) <= set(
+                    mlp_schema["properties"]["activations"]["items"]["enum"])
+                arrays += mlp["weights"] + mlp["biases"]
+            elif "properties" in schema:  # the mixture head
+                assert_keys(saved[key], schema)
+                arrays += saved[key].values()
+        assert len(arrays) == 8  # a one-layer trunk and six head arrays, or two two-layer nets
+        pattern = SCHEMA["definitions"]["floatarray"]["pattern"]
+        assert [a for a in arrays if not re.search(pattern, a)] == []
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
