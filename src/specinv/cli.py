@@ -481,7 +481,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # divergence is checked explicitly: a diverged run prints one line, no float warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -5,8 +5,8 @@ Designs are five geometric parameters (p, w, h1, h2, h3, all nm) drawn from a
 randomized Sobol sequence over fixed intervals, subject to the fabrication
 constraint p - w >= 200 nm.  The forward model maps a design to a 101-sample
 absorbance spectrum on the 400-700 nm grid via three Gaussian resonances whose
-centers involve sin and fractional-part terms, so distinct designs can produce
-near-identical spectra (a deliberately multi-valued inverse problem).
+centers involve sin and fractional-part terms, so distinct designs can give
+similar spectra; only the clip to [0, 1] makes two equal (see peak_parameters).
 """
 
 from __future__ import annotations
@@ -145,9 +145,12 @@ def generate_designs(n: int, seed: int) -> list[DesignParams]:
 def peak_parameters(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centers, widths, amplitudes of the three resonances for normalized designs.
 
-    u is (n, 5) in [0,1].  Returns three (n, 3) arrays.  The sin term makes the
-    second center symmetric about u4 = 0.25, and the fractional-part term wraps
-    the third center, so the design -> spectrum map is non-injective.
+    u is (n, 5) in [0,1].  Returns three (n, 3) arrays.  The swap u4 <-> 0.5 - u4
+    (1.5 - u4 above 0.5) keeps the sin-term second center but moves the third
+    amplitude 0.35 + 0.4 u4, so the two spectra differ (by up to 0.2) unless the
+    clip to [0, 1] hides it, as the tests' witness pair arranges.  The wrap of the
+    third center is not exact either: u2 and u3 also set the first peak.  ROADMAP
+    item 11 proposes a surrogate with the exact symmetry.
     """
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     u1, u2, u3, u4, u5 = (u[:, i] for i in range(5))

@@ -121,14 +121,10 @@ def build_mdn(input_width: int, n_components: int, rng: np.random.Generator) -> 
 
 
 def _component_affine(features: np.ndarray, w: np.ndarray, b: np.ndarray, k: int, n: int):
-    # One fixed-shape matmul per component: the results for a component do not
-    # depend on how many other components exist, so warm-started models
-    # reproduce their parent's outputs bit-exactly (BLAS blocking would not).
-    out = np.empty((features.shape[0], k, n))
-    for i in range(k):
-        rows = slice(i * n, (i + 1) * n)
-        out[:, i, :] = features @ w[rows].T + b[rows]
-    return out
+    # The stacked matmul is one fixed-shape (B, F) @ (F, N) matmul per component, so a
+    # component's outputs do not depend on how many others exist and grown models
+    # reproduce their parent's bit-exactly (one (B, K*N) matmul would not: BLAS blocking).
+    return (features @ w.reshape(k, n, -1).transpose(0, 2, 1)).transpose(1, 0, 2) + b.reshape(k, n)
 
 
 def _head_raw(head: MdnHead, features: np.ndarray):

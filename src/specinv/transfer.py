@@ -49,27 +49,12 @@ def choose_donor(strategy: str, seed: int, k: int) -> int:
 def grow(model_prev: MdnModel, donor: int) -> MdnModel:
     """Untrained K-component model initialized from a trained (K-1)-component one."""
     head_prev = model_prev.head
-    k_prev = head_prev.n_components
+    k_prev, n = head_prev.n_components, head_prev.n_targets
     if not 0 <= donor < k_prev:
         raise ValueError(f"donor {donor} out of range [0, {k_prev})")
-    n = head_prev.n_targets
-    f = head_prev.feature_width
-    k_new = k_prev + 1
-
-    def extend(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = slice(donor * n, (donor + 1) * n)
-        return np.vstack([w, w[rows]]), np.concatenate([b, b[rows]])
-
-    mu_w, mu_b = extend(head_prev.mu_w, head_prev.mu_b)
-    sigma_w, sigma_b = extend(head_prev.sigma_w, head_prev.sigma_b)
-    head = MdnHead(
-        pi_w=np.zeros((k_new, f)),
-        pi_b=np.zeros(k_new),
-        mu_w=mu_w,
-        mu_b=mu_b,
-        sigma_w=sigma_w,
-        sigma_b=sigma_b,
-    )
+    rows = slice(donor * n, (donor + 1) * n)  # the donor's rows of mu_w, mu_b, sigma_w, sigma_b
+    head = MdnHead(np.zeros((k_prev + 1, head_prev.feature_width)), np.zeros(k_prev + 1),
+                   *(np.concatenate([a, a[rows]]) for a in head_prev.parameters()[2:]))
     return MdnModel(trunk=copy.deepcopy(model_prev.trunk), head=head)
 
 
@@ -85,11 +70,9 @@ def perturb_new_component(model: MdnModel, rng: np.random.Generator, scale: floa
     """
     if scale <= 0.0:
         return
-    n = model.head.n_targets
-    rows = slice((model.head.n_components - 1) * n, model.head.n_components * n)
-    for arr in (model.head.mu_w, model.head.sigma_w):
-        arr[rows, :] += scale * rng.standard_normal(arr[rows, :].shape)
-    for arr in (model.head.mu_b, model.head.sigma_b):
+    head = model.head
+    rows = slice((head.n_components - 1) * head.n_targets, None)
+    for arr in (head.mu_w, head.sigma_w, head.mu_b, head.sigma_b):
         arr[rows] += scale * rng.standard_normal(arr[rows].shape)
 
 

@@ -964,6 +964,19 @@ class TestExitCodes:
             run("sweep", "--strategy", "magic")
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--autoencoder", "--k-max", 2]],
+                             ids=["train", "sweep_autoencoder"])
+    def test_diverged_run_prints_one_line(self, command, tiny_dataset, tmp_path, capsys,
+                                          recwarn):
+        """A run that overflows into a NaN loss exits 4 with its one error line, and none
+        of the overflow and invalid-value warnings of the steps that led there."""
+        code = run(*command, "--dataset", tiny_dataset, "--learning-rate", "1e308",
+                   "--max-epochs", 2, "--batch-size", 16, "--out", tmp_path / "r")
+        err = capsys.readouterr().err
+        assert code == EXIT_DIVERGED
+        assert err.startswith("error: training diverged: ") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -124,6 +124,22 @@ class TestGrow:
             np.testing.assert_array_equal(mc.mu[:3], mp.mu)
             np.testing.assert_array_equal(mc.sigma[:3], mp.sigma)
 
+    @pytest.mark.parametrize("batch", [1, 7, 64, 800])
+    @pytest.mark.parametrize("k_prev", [1, 2, 9])
+    def test_inheritance_at_training_shapes(self, k_prev, batch):
+        """At the shipped head's shapes (150-wide features, five targets) and every batch
+        size, the grown head's first K-1 components give their parent's means and
+        deviation logits bit for bit.  One (B, 5K) matmul for the whole head would not:
+        its rounding depends on K, which moves the inherited outputs in their last bits."""
+        rng = np.random.default_rng(100 * k_prev + batch)
+        model = build_mdn(101, k_prev, rng)
+        child = grow(model, choose_donor("tl1", 0, k_prev + 1))
+        features = rng.standard_normal((batch, 150))
+        _, mu, sigma_logits = mdn._head_raw(model.head, features)
+        _, child_mu, child_sigma_logits = mdn._head_raw(child.head, features)
+        np.testing.assert_array_equal(child_mu[:, :k_prev], mu)
+        np.testing.assert_array_equal(child_sigma_logits[:, :k_prev], sigma_logits)
+
 
 class TestGrownDensity:
     def test_density_is_uniform_mean_of_duplicated_components(self):
