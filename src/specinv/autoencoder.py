@@ -73,6 +73,7 @@ def train_ae(
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite reconstruction loss {loss!r}")
         dec_grads, g_latent = nncore.backward(model.decoder, dec_tape, 2.0 * err / err.size)
+        del dec_tape, recon, err  # the encoder's backward needs none of them
         enc_grads, _ = nncore.backward(model.encoder, enc_tape, g_latent, input_gradient=False)
         return loss, enc_grads + dec_grads
 

@@ -9,7 +9,6 @@ early stopping, and a bit-exact JSON checkpoint format.  All arithmetic is
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -130,8 +129,7 @@ def max_width_dropout_layers(layer_widths: list[int]) -> frozenset[int]:
 @dataclass
 class _LayerRecord:
     inputs: np.ndarray
-    pre_act: np.ndarray
-    sig: np.ndarray | None
+    act_grad: np.ndarray | None  # the activation's derivative at the layer's pre-activation
     mask: np.ndarray | None
 
 
@@ -180,9 +178,9 @@ def forward(
         if model.activations[l] == ACT_SILU:
             sig = sigmoid(z)
             h = z * sig
+            act_grad = _silu_grad(z, sig) if train else None
         else:
-            sig = None
-            h = z
+            h, act_grad = z, None
         mask = None
         if use_dropout and l in model.dropout_after:
             keep = 1.0 - dropout_rate
@@ -192,7 +190,7 @@ def forward(
             mask /= keep
             h = h * mask
         if train:
-            records.append(_LayerRecord(inputs=a, pre_act=z, sig=sig, mask=mask))
+            records.append(_LayerRecord(inputs=a, act_grad=act_grad, mask=mask))
         a = h
     out = a[0] if single else a
     return out, Tape(records)
@@ -216,8 +214,8 @@ def backward(
         rec = tape.records[l]
         if rec.mask is not None:
             g = g * rec.mask
-        if model.activations[l] == ACT_SILU:
-            g = g * _silu_grad(rec.pre_act, rec.sig)
+        if rec.act_grad is not None:
+            g = g * rec.act_grad
         grad_w[l] = g.T @ rec.inputs
         grad_b[l] = np.sum(g, axis=0)
         if l == 0 and not input_gradient:
@@ -301,13 +299,16 @@ class EarlyStopping:
     epochs_since_improvement: int = 0
     epoch: int = 0
 
+    def improves(self, epoch_val_loss: float) -> bool:  # whether update keeps its checkpoint
+        return epoch_val_loss < self.best_val_loss - self.min_delta  # False for NaN
+
     def update(self, epoch_val_loss: float, checkpoint: object) -> bool:
         if not math.isfinite(epoch_val_loss):
             raise TrainingDivergedError(
                 f"validation loss {epoch_val_loss!r} at epoch {self.epoch + 1}"
             )
         self.epoch += 1
-        if epoch_val_loss < self.best_val_loss - self.min_delta:
+        if self.improves(epoch_val_loss):
             self.best_val_loss = epoch_val_loss
             self.best_checkpoint = checkpoint
             self.epochs_since_improvement = 0
@@ -372,7 +373,6 @@ def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]
     header that differs (naming the first column that does), a record of another length,
     a cell that does not convert, or a file without rows raises ``DatasetFormatError``
     naming the file and the line the record starts on."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     names = list(columns)
     table = {name: [] for name in names}
     starts, start = [], 1
@@ -387,33 +387,38 @@ def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]
                                          f"columns, got {len(record)}")
             yield record
 
-    try:
-        header = next(reader, [])
-        if header != names:
-            i, got, want = next((i, got, want) for i, (got, want)
-                                in enumerate(zip_longest(header, names)) if got != want)
-            raise DatasetFormatError(
-                f"{path}: line 1: column {i + 1} is {'missing' if got is None else repr(got)}, "
-                f"expected {want or 'the header to end'}")
-        start = reader.line_num + 1
-        rest = records()
-        while block := list(islice(rest, _CSV_BLOCK)):
-            for (name, convert), cells in zip(columns.items(), zip(*block)):
-                values = table[name]
-                try:
-                    values.extend(map(convert, cells))
-                except ValueError:  # extend keeps the values before the cell that failed
-                    bad = len(values)
-                    raise DatasetFormatError(f"{path}: line {starts[bad]}: cannot read {name} "
-                                             f"from {cells[bad % _CSV_BLOCK]!r}") from None
-    except csv.Error as exc:  # a field over the csv module's size limit, say
-        raise DatasetFormatError(f"{path}: line {start}: {exc}") from None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if header != names:
+                i, got, want = next((i, got, want) for i, (got, want)
+                                    in enumerate(zip_longest(header, names)) if got != want)
+                raise DatasetFormatError(
+                    f"{path}: line 1: column {i + 1} is {'missing' if got is None else repr(got)}, "
+                    f"expected {want or 'the header to end'}")
+            start = reader.line_num + 1
+            rest = records()
+            while block := list(islice(rest, _CSV_BLOCK)):
+                for (name, convert), cells in zip(columns.items(), zip(*block)):
+                    values = table[name]
+                    try:
+                        values.extend(map(convert, cells))
+                    except ValueError:  # extend keeps the values before the cell that failed
+                        bad = len(values)
+                        raise DatasetFormatError(f"{path}: line {starts[bad]}: cannot read {name} "
+                                                 f"from {cells[bad % _CSV_BLOCK]!r}") from None
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            raise DatasetFormatError(f"{path}: line {start}: {exc}") from None
+        except UnicodeDecodeError:
+            read_text(path)  # raises, naming the line that holds the bytes
+            raise
     if not starts:
         raise DatasetFormatError(f"{path}: no rows after the header")
     return table, starts
 
 
-def _json_fragments(obj, out: list[str], indent: int) -> None:
+def _json_fragments(obj, write: Callable[[str], object], indent: int) -> None:
     """What checkpoints hold: dicts, lists, 1-D and 2-D float arrays, ints, strs.
 
     A float array is one string: the hex of its little-endian float64 bytes in
@@ -423,36 +428,37 @@ def _json_fragments(obj, out: list[str], indent: int) -> None:
         if not np.isfinite(obj).all():
             bad = float(obj[~np.isfinite(obj)][0])
             raise ValueError(f"non-finite value {bad!r} cannot be checkpointed")
-        out.append('"' + np.ascontiguousarray(obj, "<f8").tobytes().hex() + '"')
+        write('"' + np.ascontiguousarray(obj, "<f8").tobytes().hex() + '"')
     elif isinstance(obj, dict):
-        out.append("{\n")
+        write("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(f'{pad}  {json.dumps(str(key))}: ')
-            _json_fragments(value, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+            write(f'{pad}  {json.dumps(str(key))}: ')
+            _json_fragments(value, write, indent + 1)
+            write(",\n" if i < len(obj) - 1 else "\n")
+        write(pad + "}")
     elif isinstance(obj, list):
-        out.append("[")
+        write("[")
         for i, value in enumerate(obj):
             if i:
-                out.append(", ")
-            _json_fragments(value, out, indent + 1)
-        out.append("]")
+                write(", ")
+            _json_fragments(value, write, indent + 1)
+        write("]")
     elif isinstance(obj, (int, str)):
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
     else:  # floats only ever reach a checkpoint inside a float array
         raise TypeError(f"cannot checkpoint a {type(obj).__name__} value")
 
 
-def dump_checkpoint_text(payload: dict) -> str:
-    out: list[str] = []
-    _json_fragments(payload, out, 0)
-    out.append("\n")
-    return "".join(out)
-
-
 def save_checkpoint(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(dump_checkpoint_text(payload), encoding="utf-8")
+    """Encode ``payload`` into ``path`` fragment by fragment; a rejected one leaves no file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        try:
+            _json_fragments(payload, fh.write, 0)
+            fh.write("\n")
+        except BaseException:
+            fh.close()
+            Path(path).unlink()
+            raise
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -548,8 +554,12 @@ def mlp_from_dict(data: dict, name: str = "mlp") -> MlpModel:
     return MlpModel(widths, weights, biases, list(data["activations"]), frozenset(dropout_after))
 
 
-def snapshot_params(params: list[np.ndarray]) -> list[np.ndarray]:
-    return [p.copy() for p in params]
+def snapshot_params(params: list[np.ndarray], into: list | None = None) -> list[np.ndarray]:
+    """``params`` copied into ``into``, an earlier snapshot's arrays, or into new arrays."""
+    into = [np.empty_like(p) for p in params] if into is None else into
+    for s, p in zip(into, params):
+        s[...] = p
+    return into
 
 
 def restore_params(params: list[np.ndarray], snapshot: list[np.ndarray]) -> None:

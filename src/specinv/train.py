@@ -160,10 +160,14 @@ def fit(
             idx = perm[start : start + config.batch_size]
             loss, grads = batch_loss_and_grads(idx)
             nncore.adam_step(grads, adam)
+            del grads  # applied: free them before the next step builds its own
             total += loss * len(idx)
         val = val_loss()
         log.append((total / n_train, val))
-        if stopper.update(val, nncore.snapshot_params(params)):
+        checkpoint = None
+        if stopper.improves(val):  # one best-weights buffer per fit, rewritten on improvement
+            checkpoint = nncore.snapshot_params(params, stopper.best_checkpoint)
+        if stopper.update(val, checkpoint):
             break
     nncore.restore_params(params, stopper.best_checkpoint)
     return TrainResult(model, stopper.epoch, log, stopper.best_val_loss, time.perf_counter() - t0)

@@ -367,6 +367,20 @@ class TestEarlyStopping:
         with pytest.raises(TrainingDivergedError):
             stop.update(float("nan"), checkpoint=None)
 
+    def test_improves_agrees_with_update(self):
+        """An epoch improves when it beats the best by more than ``min_delta``; exactly
+        ``min_delta`` does not, and NaN never does (``update`` raises on it)."""
+        stop = EarlyStopping(patience=50, min_delta=0.25, max_epochs=1000)
+        for loss, improves in [(2.0, True), (1.75, False), (1.5, True), (1.25, False),
+                               (1.0, True), (1.0, False)]:
+            assert stop.improves(loss) is improves
+            checkpoint = object()
+            stop.update(loss, checkpoint)
+            assert (stop.best_checkpoint is checkpoint) is improves
+        assert stop.improves(float("nan")) is False
+        with pytest.raises(TrainingDivergedError):
+            stop.update(float("nan"), checkpoint=None)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -430,15 +444,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="kind"):
             mdn.load_mdn(path)
 
-    def test_non_finite_values_rejected(self):
+    def test_non_finite_values_rejected(self, tmp_path):
         """A float scalar, finite or not, is no checkpoint value, and neither is None."""
         for value in (float("inf"), 0.1, None):
             with pytest.raises(TypeError):
-                nncore.dump_checkpoint_text({"x": value})
+                nncore.save_checkpoint(tmp_path / "x.json", {"x": value})
 
-    def test_non_finite_array_entry_rejected(self):
+    def test_non_finite_array_entry_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
-            nncore.dump_checkpoint_text({"w": np.array([[1.0, 2.0], [np.inf, 0.0]])})
+            nncore.save_checkpoint(tmp_path / "w.json",
+                                   {"w": np.array([[1.0, 2.0], [np.inf, 0.0]])})
 
     def test_rejected_payload_leaves_no_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -448,7 +463,7 @@ class TestCheckpoint:
             nncore.save_checkpoint(path, {"w": np.array([[1.0, 2.0], [np.nan, 0.0]])})
         assert not path.exists()
 
-    def test_text_layout_pinned(self):
+    def test_text_layout_pinned(self, tmp_path):
         """The kinds checkpoints hold: dicts, lists, 1-D and 2-D float arrays, ints, strs.
         A float array is the hex of its little-endian float64 bytes, row after row."""
         payload = {
@@ -484,7 +499,9 @@ class TestCheckpoint:
             '  "layers": ["000000000000e03f", "000000000000f0bf408cb5781daf1544"]\n'
             "}\n"
         )
-        assert nncore.dump_checkpoint_text(payload) == expected
+        path = tmp_path / "pin.json"
+        nncore.save_checkpoint(path, payload)
+        assert path.read_bytes() == expected.encode("utf-8")
 
     # signed zero, the smallest subnormal and the largest finite doubles
     EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -582,6 +599,17 @@ class TestWriteCsv:
         with pytest.raises(DatasetFormatError) as err:
             nncore.read_csv(path, CSV_COLUMNS)
         assert str(err.value) == f"{path}: line {200 + quoted_lines}: cannot read x from 'oops'"
+
+    @pytest.mark.parametrize("line", [2, 2000], ids=["first_record", "past_the_first_read"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, line, tmp_path):
+        """Also when the reader has converted blocks of records before it meets them."""
+        records = [f"{i},t,{i}.25,0.5".encode() for i in range(1, 3001)]
+        records[line - 2] = b"0,t\xff,0.5,0.5"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\n".join([b"rank,tag,x,y", *records]) + b"\n")
+        with pytest.raises(DatasetFormatError) as err:
+            nncore.read_csv(path, CSV_COLUMNS)
+        assert str(err.value) == f"{path}: line {line}: not UTF-8 text"
 
 
 class TestDeterminism:
