@@ -62,20 +62,19 @@ def train_ae(
 ) -> TrainResult:
     """Minimize reconstruction MSE from ``init_ae(rng)``; returns the best-validation model."""
     model = init_ae(rng)
+    enc, dec = model.encoder, model.decoder  # trained as one network, encoder first
+    joint = MlpModel(enc.layer_widths + dec.layer_widths[1:], enc.weights + dec.weights,
+                     enc.biases + dec.biases, enc.activations + dec.activations)
 
     def batch_loss_and_grads(idx):
         batch = train_spectra[idx]
-        # no layer drops out: the train flag only keeps the tapes
-        latent, enc_tape = nncore.forward(model.encoder, batch, train=True)
-        recon, dec_tape = nncore.forward(model.decoder, latent, train=True)
+        # no layer drops out: the train flag only keeps the tape
+        recon, tape = nncore.forward(joint, batch, train=True)
         err = recon - batch
         loss = float(np.mean(err * err))
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite reconstruction loss {loss!r}")
-        dec_grads, g_latent = nncore.backward(model.decoder, dec_tape, 2.0 * err / err.size)
-        del dec_tape, recon, err  # the encoder's backward needs none of them
-        enc_grads, _ = nncore.backward(model.encoder, enc_tape, g_latent, input_gradient=False)
-        return loss, enc_grads + dec_grads
+        return loss, nncore.backward(joint, tape, 2.0 * err / err.size)
 
     return fit(
         model, train_spectra.shape[0], batch_loss_and_grads,

@@ -262,7 +262,7 @@ def batch_nll_and_grads(
         g_sig_flat.sum(axis=0),
     ]
     g_features = g_pi_logits @ head.pi_w + g_mu_flat @ head.mu_w + g_sig_flat @ head.sigma_w
-    trunk_grads, _ = nncore.backward(model.trunk, tape, g_features, input_gradient=False)
+    trunk_grads = nncore.backward(model.trunk, tape, g_features)
     return float(np.mean(losses)), trunk_grads + head_grads
 
 

@@ -137,11 +137,8 @@ class _LayerRecord:
 class Tape:
     """Activation record from one train-mode forward pass; replays dropout masks exactly."""
 
-    records: list[_LayerRecord]
-
-    @property
-    def batch_size(self) -> int:
-        return self.records[0].inputs.shape[0]
+    records: list[_LayerRecord | None]
+    batch_size: int
 
 
 def forward(
@@ -177,8 +174,9 @@ def forward(
         z += model.biases[l]
         if model.activations[l] == ACT_SILU:
             sig = sigmoid(z)
-            h = z * sig
             act_grad = _silu_grad(z, sig) if train else None
+            h = np.multiply(z, sig, out=z)
+            del sig  # or it lingers beside the next layer's arrays
         else:
             h, act_grad = z, None
         mask = None
@@ -193,35 +191,29 @@ def forward(
             records.append(_LayerRecord(inputs=a, act_grad=act_grad, mask=mask))
         a = h
     out = a[0] if single else a
-    return out, Tape(records)
+    return out, Tape(records, a.shape[0])
 
 
-def backward(
-    model: MlpModel, tape: Tape, output_gradient: np.ndarray, input_gradient: bool = True
-) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Gradients of a scalar loss w.r.t. every weight and bias, plus the input.
+def backward(model: MlpModel, tape: Tape, output_gradient: np.ndarray) -> list[np.ndarray]:
+    """Gradients of a scalar loss w.r.t. every weight and bias, ordered like
+    ``model.parameters()``.
 
-    ``output_gradient`` is dLoss/dOutput, one row per sample of the tape's
-    batch (any 1/batch factors belong to the caller).  Returns
-    (param_grads, input_grad) with param_grads ordered like
-    ``model.parameters()``; input_grad is None, and its matmul skipped, when
-    ``input_gradient`` is false.
+    ``output_gradient`` is dLoss/dOutput, one row per sample of the tape's batch (any
+    1/batch factors belong to the caller).  Each layer's record leaves the tape once its
+    gradients exist, so a tape is replayed once and freed as the pass goes.
     """
     g = np.asarray(output_gradient, dtype=np.float64)
-    grad_w: list[np.ndarray] = [np.empty(0)] * model.n_layers
-    grad_b: list[np.ndarray] = [np.empty(0)] * model.n_layers
+    grads: list[np.ndarray] = []
     for l in reversed(range(model.n_layers)):
-        rec = tape.records[l]
+        rec, tape.records[l] = tape.records[l], None
         if rec.mask is not None:
             g = g * rec.mask
         if rec.act_grad is not None:
             g = g * rec.act_grad
-        grad_w[l] = g.T @ rec.inputs
-        grad_b[l] = np.sum(g, axis=0)
-        if l == 0 and not input_gradient:
-            return _interleave(grad_w, grad_b), None
-        g = g @ model.weights[l]
-    return _interleave(grad_w, grad_b), g
+        grads[:0] = g.T @ rec.inputs, np.sum(g, axis=0)  # layer l's weight, then its bias
+        if l:  # no caller reads the input's gradient
+            g = g @ model.weights[l]
+    return grads
 
 
 MOMENT1_DECAY = 0.9
@@ -382,9 +374,6 @@ def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]
         for record in reader:
             starts.append(start)
             start = reader.line_num + 1
-            if len(record) != len(names):
-                raise DatasetFormatError(f"{path}: line {starts[-1]}: expected {len(names)} "
-                                         f"columns, got {len(record)}")
             yield record
 
     with open(path, newline="", encoding="utf-8") as fh:
@@ -400,14 +389,21 @@ def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]
             start = reader.line_num + 1
             rest = records()
             while block := list(islice(rest, _CSV_BLOCK)):
-                for (name, convert), cells in zip(columns.items(), zip(*block)):
-                    values = table[name]
-                    try:
-                        values.extend(map(convert, cells))
-                    except ValueError:  # extend keeps the values before the cell that failed
-                        bad = len(values)
-                        raise DatasetFormatError(f"{path}: line {starts[bad]}: cannot read {name} "
-                                                 f"from {cells[bad % _CSV_BLOCK]!r}") from None
+                try:  # the strict zips fail on a record of another length
+                    for (name, convert), cells in zip(columns.items(), zip(*block, strict=True),
+                                                      strict=True):
+                        table[name].extend(map(convert, cells))
+                except ValueError:  # name the block's first bad record
+                    for line, record in zip(starts[-len(block):], block):
+                        try:
+                            for (name, convert), cell in zip(columns.items(), record, strict=True):
+                                convert(cell)
+                        except ValueError:
+                            raise DatasetFormatError(f"{path}: line {line}: " + (
+                                f"expected {len(names)} columns, got {len(record)}"
+                                if len(record) != len(names) else
+                                f"cannot read {name} from {cell!r}")) from None
+                    raise
         except csv.Error as exc:  # a field over the csv module's size limit, say
             raise DatasetFormatError(f"{path}: line {start}: {exc}") from None
         except UnicodeDecodeError:

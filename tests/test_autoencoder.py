@@ -16,7 +16,7 @@ from specinv.autoencoder import (
     train_ae,
 )
 from specinv.train import TrainConfig
-from util import mean_baseline_mse, small_mdn
+from util import finite_difference_grads, max_rel_error, mean_baseline_mse, small_mdn
 
 
 class TestShapes:
@@ -114,6 +114,26 @@ class TestTraining:
                        shuffle_rng=np.random.default_rng(7),
                        rng=np.random.default_rng(8))
         assert encode(fit.model, ds.spectra[0]).shape == (10,)
+
+    def test_step_gradient_matches_finite_differences(self, monkeypatch):
+        """The training step's gradient, encoder and decoder alike and across the latent
+        junction, is the derivative of the batch's reconstruction MSE, ordered like
+        ``parameters()``."""
+        monkeypatch.setattr(autoencoder, "ENCODER_WIDTHS", [6, 5, 3])
+        monkeypatch.setattr(autoencoder, "DECODER_WIDTHS", [3, 4, 6])
+        steps = []
+        monkeypatch.setattr(autoencoder, "fit",
+                            lambda model, n, step, *rest: steps.append((model, step)))
+        spectra = np.random.default_rng(11).random((9, 6))
+        train_ae(spectra, spectra, TrainConfig(), shuffle_rng=np.random.default_rng(12),
+                 rng=np.random.default_rng(13))
+        (model, step), = steps
+        idx = np.array([7, 2, 4, 0])
+        loss, grads = step(idx)
+        assert loss == reconstruction_mse(model, spectra[idx])
+        numeric = finite_difference_grads(lambda: reconstruction_mse(model, spectra[idx]),
+                                          model.parameters())
+        assert max_rel_error(grads, numeric) <= 1e-4
 
     def test_divergence_detected(self):
         ds = dataset.generate_dataset(20, seed=8)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import string
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -143,6 +144,21 @@ class TestForward:
             single, _ = forward(model, xs[i])
             np.testing.assert_allclose(batch_out[i], single, rtol=1e-12, atol=1e-15)
 
+    def test_eval_pass_holds_three_layer_arrays(self):
+        """A SiLU layer's activation overwrites its pre-activation and the sigmoid goes
+        before the next layer, so an eval pass peaks at a layer's input, its
+        pre-activation and its sigmoid: three layer-sized arrays."""
+        rng = np.random.default_rng(0)
+        model = init_mlp([8, 400, 400, 400, 8], rng)
+        x = rng.normal(size=(2000, 8))
+        tracemalloc.start()
+        try:
+            forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (2000 * 400 * 8) <= 3.2
+
 
 class TestDropout:
     def test_train_mode_mean_matches_eval(self):
@@ -171,10 +187,9 @@ class TestBackward:
         rng = np.random.default_rng(1)
         model = init_mlp([3, 4, 2], rng)
         _, tape = forward(model, rng.normal(size=3), train=True)
-        grads, gin = backward(model, tape, np.zeros((1, 2)))
+        grads = backward(model, tape, np.zeros((1, 2)))
         for g in grads:
             assert not g.any()
-        assert not gin.any()
 
     def test_single_linear_layer_weight_gradient_is_input(self):
         """For loss = scalar output of one affine layer, dL/dW_ij = x_j."""
@@ -186,7 +201,7 @@ class TestBackward:
         )
         x = np.array([1.5, -2.0, 0.25])
         _, tape = forward(model, x, train=True)
-        grads, _ = backward(model, tape, np.ones((1, 1)))
+        grads = backward(model, tape, np.ones((1, 1)))
         np.testing.assert_array_equal(grads[0], x[None, :])
         np.testing.assert_array_equal(grads[1], np.ones(1))
 
@@ -201,7 +216,7 @@ class TestBackward:
             return float(out @ w)
 
         _, tape = forward(model, x, train=True)
-        grads, _ = backward(model, tape, w[None, :])
+        grads = backward(model, tape, w[None, :])
         numeric = finite_difference_grads(loss, model.parameters())
         assert max_rel_error(grads, numeric) <= 1e-4
 
@@ -220,20 +235,20 @@ class TestBackward:
 
         _, tape = forward(model, x, train=True, dropout_rate=0.4,
                           rng=np.random.default_rng(123))
-        grads, _ = backward(model, tape, w[None, :])
+        grads = backward(model, tape, w[None, :])
         numeric = finite_difference_grads(loss, model.parameters())
         assert max_rel_error(grads, numeric) <= 1e-4
 
-    def test_skipped_input_gradient_keeps_parameter_gradients(self):
+    def test_tape_records_freed_as_used(self):
+        """``backward`` drops each layer's record, so the tape holds none of the pass's
+        arrays afterwards; its batch size, which a tracer reads then, stays."""
         rng = np.random.default_rng(3)
         model = init_mlp([3, 6, 5, 2], rng, dropout_after={1})
         _, tape = forward(model, rng.normal(size=(8, 3)), train=True, dropout_rate=0.3, rng=rng)
-        g_out = rng.normal(size=(8, 2))
-        grads, gin = backward(model, tape, g_out)
-        skipped, none = backward(model, tape, g_out, input_gradient=False)
-        assert gin.shape == (8, 3) and none is None
-        for a, b in zip(grads, skipped):
-            np.testing.assert_array_equal(a, b)
+        grads = backward(model, tape, rng.normal(size=(8, 2)))
+        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+        assert tape.records == [None] * 3
+        assert tape.batch_size == 8
 
     def test_tape_model_mismatch_raises(self):
         rng = np.random.default_rng(0)
@@ -600,6 +615,22 @@ class TestWriteCsv:
             nncore.read_csv(path, CSV_COLUMNS)
         assert str(err.value) == f"{path}: line {200 + quoted_lines}: cannot read x from 'oops'"
 
+    def test_first_bad_record_in_file_order_is_named(self, tmp_path):
+        """Whichever check a record fails, the message names the file's first bad record,
+        though the reader converts a block of records column by column."""
+        faults = [(4, "3,t,oops,0.5", "cannot read x from 'oops'"),
+                  (11, "ten,t,10.25,0.5", "cannot read rank from 'ten'"),
+                  (16, "15,t,15.25", "expected 4 columns, got 3")]
+        path = tmp_path / "t.csv"
+        for i, (line, _, message) in enumerate(faults):
+            records = [f"{r},t,{r}.25,0.5" for r in range(1, 21)]
+            for bad_line, text, _ in faults[i:]:
+                records[bad_line - 2] = text
+            path.write_text("\n".join(["rank,tag,x,y", *records]) + "\n", encoding="utf-8")
+            with pytest.raises(DatasetFormatError) as err:
+                nncore.read_csv(path, CSV_COLUMNS)
+            assert str(err.value) == f"{path}: line {line}: {message}"
+
     @pytest.mark.parametrize("line", [2, 2000], ids=["first_record", "past_the_first_read"])
     def test_bytes_that_are_not_utf8_name_their_line(self, line, tmp_path):
         """Also when the reader has converted blocks of records before it meets them."""
@@ -628,7 +659,7 @@ class TestDeterminism:
             for _ in range(20):
                 out, tape = forward(model, x, train=True, dropout_rate=0.2, rng=drop_rng)
                 g_out = 2.0 * (out - t) / out.size
-                grads, _ = backward(model, tape, g_out)
+                grads = backward(model, tape, g_out)
                 adam_step(grads, state)
             return [p.copy() for p in params]
 
