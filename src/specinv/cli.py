@@ -231,11 +231,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         latents = autoencoder.encode(ae_fit.model, ds.spectra)
         arrays = arrays_from_dataset(ds, x_matrix=latents)
         # diagnostic only: how close encode(decode(z)) comes to fixing the latents
-        train_latents = latents[ds.indices("train")]
         roundtrip = autoencoder.encode(
-            ae_fit.model, autoencoder.decode(ae_fit.model, train_latents)
+            ae_fit.model, autoencoder.decode(ae_fit.model, arrays.train_x)
         )
-        latent_mse = float(np.mean((roundtrip - train_latents) ** 2))
+        latent_mse = float(np.mean((roundtrip - arrays.train_x) ** 2))
         print(
             f"autoencoder: {ae_fit.epochs} epochs, "
             f"val reconstruction MSE {ae_fit.best_val_loss:.3e}, "

@@ -57,11 +57,6 @@ class DesignParams:
     def to_array(self) -> np.ndarray:
         return np.array([self.p, self.w, self.h1, self.h2, self.h3])
 
-    @classmethod
-    def from_array(cls, arr) -> "DesignParams":
-        p, w, h1, h2, h3 = (float(v) for v in arr)
-        return cls(p, w, h1, h2, h3)
-
 
 def normalize_designs(designs: np.ndarray) -> np.ndarray:
     """Min-max scale physical designs to [0,1]^5 using the interval bounds."""
@@ -136,7 +131,7 @@ def generate_designs(n: int, seed: int) -> list[DesignParams]:
     for points in _sobol_blocks(seed, _SOBOL_BLOCK):
         blocks.append(scale_and_filter(points))
         if sum(map(len, blocks)) >= n:
-            return [DesignParams.from_array(row) for row in np.concatenate(blocks)[:n]]
+            return [DesignParams(*row) for row in np.concatenate(blocks)[:n].tolist()]
 
 
 # --- forward model ----------------------------------------------------------------
@@ -237,18 +232,10 @@ class LabeledDataset:
         return {s: int(np.sum(self.split_tags == s)) for s in _SPLITS}
 
 
-def build_dataset(designs: list[DesignParams], seed: int) -> LabeledDataset:
-    arr = np.array([d.to_array() for d in designs])
-    return LabeledDataset(
-        designs=arr,
-        spectra=surrogate_spectra(arr),
-        split_tags=assign_splits(len(designs), seed),
-    )
-
-
 def generate_dataset(n: int, seed: int) -> LabeledDataset:
     """End to end: Sobol designs -> spectra -> shuffled 80/10/10 split."""
-    return build_dataset(generate_designs(n, seed=seed), seed=seed)
+    designs = np.array([d.to_array() for d in generate_designs(n, seed=seed)])
+    return LabeledDataset(designs, surrogate_spectra(designs), assign_splits(n, seed))
 
 
 # --- persistence --------------------------------------------------------------------
@@ -280,8 +267,8 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     ``DatasetFormatError`` naming the first such record by the line it starts on."""
     table, starts = read_csv(path, DATASET_COLUMNS)
     # one record per C-order row: BLAS results, and so trained bits, may depend on layout
-    designs = np.array([table[name] for name in PARAM_NAMES]).T.copy()
-    spectra = np.array([table[name] for name in ABSORBANCE_COLUMNS]).T.copy()
+    designs = np.stack([np.frombuffer(table[name]) for name in PARAM_NAMES], axis=1)
+    spectra = np.stack([np.frombuffer(table[name]) for name in ABSORBANCE_COLUMNS], axis=1)
     tags = np.array(table["split"], dtype=object)
     faults = design_faults(designs)
     faults[~valid_absorbance(spectra)] = "absorbance values must be finite and within [0, 1]"

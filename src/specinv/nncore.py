@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice, zip_longest
 from pathlib import Path
@@ -358,15 +359,17 @@ _CSV_BLOCK = 128  # records converted at a time, while their cells are still in 
 
 
 def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]
-             ) -> tuple[dict[str, list], list[int]]:
-    """A ``write_csv`` file of ``columns``: each column as the list of its cells, converted
-    by the column's function, and the line each record starts on (a quoted cell may span
-    lines).  The header must be exactly ``columns``.  Text that is not UTF-8 or not CSV, a
-    header that differs (naming the first column that does), a record of another length,
-    a cell that does not convert, or a file without rows raises ``DatasetFormatError``
-    naming the file and the line the record starts on."""
+             ) -> tuple[dict[str, list | array], list[int]]:
+    """A ``write_csv`` file of ``columns``: each column's cells, converted by the column's
+    function, and the line each record starts on (a quoted cell may span lines).  An
+    ``int`` or ``str`` column is a list; any other, which ``write_csv`` formats with
+    ``%.17g``, is an ``array('d')``, 8 bytes a cell.  The header must be exactly
+    ``columns``.  Text that is not UTF-8 or not CSV, a header that differs (naming the
+    first column that does), a record of another length, a cell that does not convert, or
+    a file without rows raises ``DatasetFormatError`` naming the file and the line the
+    record starts on."""
     names = list(columns)
-    table = {name: [] for name in names}
+    table = {name: [] if kind in (int, str) else array("d") for name, kind in columns.items()}
     starts, start = [], 1
 
     def records():

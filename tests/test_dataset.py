@@ -1,6 +1,7 @@
 """Sampling, the analytic forward model, splits, and persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from specinv.dataset import (
     DesignParams,
     PARAM_UPPER,
     assign_splits,
-    build_dataset,
     denormalize_designs,
     generate_designs,
     generate_dataset,
@@ -65,6 +65,14 @@ class TestScaleAndFilter:
         short, long = generate_designs(700, seed=3), generate_designs(1600, seed=3)
         assert len(long) == 1600
         assert short == long[:700]
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("n", [10, 793, 794, 1000])
+    def test_dataset_holds_the_sampled_designs(self, n, seed):
+        """``generate_dataset`` draws its rows from ``generate_designs`` bit for bit; seed 3
+        keeps 793 of its first 1,024 Sobol points, so 793 and 794 straddle a block."""
+        designs = np.array([d.to_array() for d in generate_designs(n, seed=seed)])
+        assert generate_dataset(n, seed=seed).designs.tobytes() == designs.tobytes()
 
 
 class TestSobolSampler:
@@ -144,7 +152,7 @@ class TestSurrogate:
         # direct evaluation of the stated construction
         center_1 = 430.0 + 240.0 * u[0]
         amplitude_1 = 0.55 + 0.45 * u[1]
-        d = DesignParams.from_array(denormalize_designs(u))
+        d = DesignParams(*denormalize_designs(u).tolist())
         spectrum = surrogate_spectra(d.to_array()[None])[0]
         i = int(round((center_1 - 400.0) / 3.0))
         assert abs(spectrum[i] - amplitude_1) <= 0.02
@@ -195,7 +203,7 @@ class TestSplits:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        ds = build_dataset(generate_designs(100, seed=3), seed=3)
+        ds = generate_dataset(100, seed=3)
         path = tmp_path / "data.csv"
         save_dataset(path, ds, seed=3)
         loaded = load_dataset(path)
@@ -214,7 +222,7 @@ class TestPersistence:
         assert meta["split_counts"] == {"train": 16, "val": 2, "test": 2}
 
     def test_wrong_column_count_reports_line(self, tmp_path):
-        ds = build_dataset(generate_designs(12, seed=1), seed=1)
+        ds = generate_dataset(12, seed=1)
         path = tmp_path / "data.csv"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
@@ -231,7 +239,7 @@ class TestPersistence:
             load_dataset(path)
 
     def test_bad_split_tag_reports_line(self, tmp_path):
-        ds = build_dataset(generate_designs(12, seed=1), seed=1)
+        ds = generate_dataset(12, seed=1)
         path = tmp_path / "data.csv"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
@@ -243,7 +251,7 @@ class TestPersistence:
             load_dataset(path)
 
     def test_constraint_revalidated_on_load(self, tmp_path):
-        ds = build_dataset(generate_designs(12, seed=1), seed=1)
+        ds = generate_dataset(12, seed=1)
         path = tmp_path / "data.csv"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
@@ -256,7 +264,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("column", [2, 10])  # a design field, an absorbance value
     def test_nan_reports_line(self, tmp_path, column):
-        ds = build_dataset(generate_designs(12, seed=1), seed=1)
+        ds = generate_dataset(12, seed=1)
         path = tmp_path / "data.csv"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
@@ -284,7 +292,7 @@ class TestPersistence:
         lines 2-3, and each fault is named by the line its record starts on.  A cell given as
         None is dropped."""
         path = tmp_path / "data.csv"
-        save_dataset(path, build_dataset(generate_designs(12, seed=1), seed=1))
+        save_dataset(path, generate_dataset(12, seed=1))
         lines = path.read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
         rows[0][0] = f'"{rows[0][0]}\n"'
@@ -299,7 +307,7 @@ class TestPersistence:
         assert str(exc.value).startswith(f"{path}: {message}")
 
     def test_non_numeric_value_reports_line(self, tmp_path):
-        ds = build_dataset(generate_designs(12, seed=1), seed=1)
+        ds = generate_dataset(12, seed=1)
         path = tmp_path / "data.csv"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
@@ -309,6 +317,20 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="line 4"):
             load_dataset(path)
+
+    def test_load_holds_no_python_float_per_cell(self, tmp_path):
+        """The reader keeps each number column as 8-byte doubles, so loading 1,000 records
+        peaks below four times the bytes of the two matrices it returns (about 6.2 times
+        with a Python float per cell)."""
+        path = tmp_path / "data.csv"
+        save_dataset(path, generate_dataset(1000, seed=0))
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (loaded.designs.nbytes + loaded.spectra.nbytes)
 
 
 class TestLabeledDataset:

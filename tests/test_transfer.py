@@ -286,7 +286,7 @@ class TestSweepCsv:
         results, _ = nncore.read_csv(path, transfer.SWEEP_RESULTS_COLUMNS)
         assert results["K"] == [1, 2]
         assert results["epochs"] == [entry.epochs for entry in res]
-        assert results["val_nll"] == [entry.best_val_loss for entry in res]
+        assert list(results["val_nll"]) == [entry.best_val_loss for entry in res]
         header = path.read_text().splitlines()[0]
         assert "seconds" not in header  # timing lives in its own file
 
@@ -324,4 +324,4 @@ class TestSweepCsv:
         transfer.write_sweep_timing(path, res, ae_fit=ae_fit)
         timing, _ = nncore.read_csv(path, {"stage": str, "strategy": str, "seconds": float})
         assert timing["stage"] == ["ae_train", "k=1", "k=2", "total"]
-        assert timing["seconds"][:3] == [fit.seconds for fit in fits[1:]]
+        assert list(timing["seconds"][:3]) == [fit.seconds for fit in fits[1:]]

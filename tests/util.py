@@ -167,7 +167,7 @@ def witness_pair():
     u2 = 0.95
     u3 = ((c2 - 400.0) / 300.0 - u2) % 1.0
     u5 = 1.0
-    mk = lambda u4: DesignParams.from_array(denormalize_designs(np.array([u1, u2, u3, u4, u5])))
+    mk = lambda u4: DesignParams(*denormalize_designs(np.array([u1, u2, u3, u4, u5])).tolist())
     return mk(u4_a), mk(u4_b)
 
 
