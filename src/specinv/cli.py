@@ -29,7 +29,8 @@ from .nncore import (
     read_text,
     write_csv,
 )
-from .train import TrainConfig, ae_streams, arrays_from_dataset, model_streams, train_mdn
+from .train import (TrainConfig, TrainResult, ae_streams, arrays_from_dataset, model_streams,
+                    train_mdn)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,10 +69,10 @@ def parse_config_file(path: str | Path, command: str) -> dict:
     else belongs to the value.
 
     A ``command`` line, which ``write_config`` records, must name ``command``,
-    the subcommand being run, so a run's own config.txt replays it.
+    the subcommand being run, so a run's own config.txt replays it.  No key repeats.
     """
     types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
-    values = {}
+    values, key_lines = {}, {}
     try:
         text = read_text(path)
     except DatasetFormatError as exc:  # a bad --config is a usage error, as below
@@ -86,6 +87,9 @@ def parse_config_file(path: str | Path, command: str) -> dict:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in key_lines:
+            raise ValueError(f"{path}: line {lineno}: {key} was set on line {key_lines[key]}")
+        key_lines[key] = lineno
         if key == "command":
             if value != command:
                 raise ValueError(f"{path}: line {lineno}: command {value!r} is not {command!r}")
@@ -131,14 +135,44 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _write_log_csv(path: Path, log: list[tuple[float, float]], loss: str) -> None:
-    rows = ([epoch, train, val] for epoch, (train, val) in enumerate(log, start=1))
-    write_csv(path, log_columns(loss), rows)
+SWEEP_RESULTS_COLUMNS = {
+    "K": int, "strategy": str, "epochs": int,
+    "train_nll": finite_float, "val_nll": finite_float, "test_nll": finite_float,
+}
 
 
 def log_columns(loss: str) -> dict:
     """The columns of a training log of ``loss`` (nll or mse) per epoch."""
     return {"epoch": int, f"train_{loss}": finite_float, f"val_{loss}": finite_float}
+
+
+def _write_log_csv(path: Path, log: list[tuple[float, float]], loss: str) -> None:
+    rows = ([epoch, train, val] for epoch, (train, val) in enumerate(log, start=1))
+    write_csv(path, log_columns(loss), rows)
+
+
+def _model_paths(run_dir: Path, k: int) -> tuple[Path, Path]:
+    """The checkpoint and the training log of a run's K-component model."""
+    return run_dir / f"mdn_k{k:02d}.json", run_dir / f"log_k{k:02d}.csv"
+
+
+def _write_model(out_dir: Path, k: int, fit: TrainResult) -> None:
+    checkpoint, log = _model_paths(out_dir, k)
+    mdn.save_mdn(checkpoint, fit.model)
+    _write_log_csv(log, fit.log, "nll")
+
+
+def write_sweep_files(out_dir: Path, entries: list[transfer.SweepEntry], strategy: str,
+                      ae_fit: TrainResult | None) -> None:
+    """sweep_results.csv, byte-reproducible for a fixed seed, and sweep_timing.csv, the
+    wall-clock seconds of each fit (``ae_fit`` is the autoencoder's, if one trained)."""
+    results = ([e.k, strategy, e.epochs, e.train_nll, e.best_val_loss, e.test_nll] for e in entries)
+    write_csv(out_dir / "sweep_results.csv", SWEEP_RESULTS_COLUMNS, results)
+    rows = [] if ae_fit is None else [["ae_train", "-", ae_fit.seconds]]
+    rows += [[f"k={e.k}", strategy, e.seconds] for e in entries]
+    rows.append(["total", strategy, sum(row[2] for row in rows)])
+    write_csv(out_dir / "sweep_timing.csv", {"stage": str, "strategy": str, "seconds": float},
+              rows)
 
 
 def read_spectrum_file(path: str | Path) -> np.ndarray:
@@ -187,39 +221,36 @@ def _load_dataset(path: str, splits: tuple[str, ...]) -> dataset.LabeledDataset:
     return ds
 
 
-def _load_arrays(cfg: RunConfig):
-    """The dataset and its split matrices; a split without rows is a format error."""
-    if not cfg.dataset:  # "" would open the working directory
-        raise ValueError("--dataset is required (or a 'dataset =' line in --config)")
+def _start_run(args: argparse.Namespace):
+    """The settings, dataset, split matrices and output directory of a train or sweep run;
+    every setting is checked before the dataset is read, and the dataset before --out is made."""
+    cfg = build_config(args)
+    if args.command == "train" and (cfg.strategy != transfer.STRATEGY_NONE or cfg.autoencoder):
+        raise ValueError("train fits a single model from scratch on spectra; "
+                         "use 'sweep' for tl1/tl2 or an autoencoder")
+    for name in ("dataset", "out"):  # "" would read or write the working directory
+        if not getattr(cfg, name):
+            raise ValueError(f"--{name} (or a --config line '{name} =') must not be empty")
     ds = _load_dataset(cfg.dataset, ("train", "val", "test"))
-    return ds, arrays_from_dataset(ds)
+    arrays = arrays_from_dataset(ds)
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_config(out_dir / "config.txt", cfg, args.command)
+    return cfg, ds, arrays, out_dir
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    if cfg.strategy != transfer.STRATEGY_NONE or cfg.autoencoder:
-        raise ValueError("train fits a single model from scratch on spectra; "
-                         "use 'sweep' for tl1/tl2 or an autoencoder")
-    ds, arrays = _load_arrays(cfg)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(out_dir / "config.txt", cfg, "train")
-    k = cfg.k
-    init_rng, shuffle_rng, dropout_rng = model_streams(cfg.seed, k)
-    model = mdn.build_mdn(arrays.input_width, k, init_rng)
+    cfg, _, arrays, out_dir = _start_run(args)
+    init_rng, shuffle_rng, dropout_rng = model_streams(cfg.seed, cfg.k)
+    model = mdn.build_mdn(arrays.input_width, cfg.k, init_rng)
     fit = train_mdn(model, arrays, cfg, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
-    mdn.save_mdn(out_dir / f"mdn_k{k:02d}.json", model)
-    _write_log_csv(out_dir / f"log_k{k:02d}.csv", fit.log, "nll")
-    print(f"K={k}: {fit.epochs} epochs, best val NLL {fit.best_val_loss:.6f}")
+    _write_model(out_dir, cfg.k, fit)
+    print(f"K={cfg.k}: {fit.epochs} epochs, best val NLL {fit.best_val_loss:.6f}")
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    ds, arrays = _load_arrays(cfg)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(out_dir / "config.txt", cfg, "sweep")
+    cfg, ds, arrays, out_dir = _start_run(args)
     ae_fit = None
     if cfg.autoencoder:
         shuffle_rng, rng = ae_streams(cfg.seed)
@@ -241,13 +272,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"latent round-trip MSE {latent_mse:.3e}"
         )
 
-    def on_trained(entry: transfer.SweepEntry) -> None:
-        mdn.save_mdn(out_dir / f"mdn_k{entry.k:02d}.json", entry.model)
-        _write_log_csv(out_dir / f"log_k{entry.k:02d}.csv", entry.log, "nll")
-
-    entries = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg, on_trained=on_trained)
-    transfer.write_sweep_results(out_dir / "sweep_results.csv", entries)
-    transfer.write_sweep_timing(out_dir / "sweep_timing.csv", entries, ae_fit=ae_fit)
+    entries = transfer.sweep(arrays, cfg.k_max, cfg.strategy, cfg,
+                             on_trained=lambda entry: _write_model(out_dir, entry.k, entry))
+    write_sweep_files(out_dir, entries, cfg.strategy, ae_fit)
     for entry in entries:
         print(
             f"K={entry.k}: {entry.epochs} epochs, "
@@ -336,12 +363,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     results_path = run_dir / "sweep_results.csv"
     if not results_path.exists():
         raise FileNotFoundError(f"{results_path} not found; run 'sweep' first")
-    results, _ = read_csv(results_path, transfer.SWEEP_RESULTS_COLUMNS)
+    results, _ = read_csv(results_path, SWEEP_RESULTS_COLUMNS)
     ks = results["K"]
     if args.k is not None and args.k not in ks:
         raise ValueError(f"--k {args.k} is not a K of {results_path} ({ks})")
     # every file is read and checked before any figure is written
-    log_paths = {k: run_dir / f"log_k{k:02d}.csv" for k in ks}
+    log_paths = {k: _model_paths(run_dir, k)[1] for k in ks}
     logs = {k: read_csv(path, log_columns("nll"))[0] for k, path in log_paths.items()
             if path.exists()}
     marginals = _test_record_mixture(args, run_dir, ks) if args.dataset else None
@@ -386,7 +413,7 @@ def _test_record_mixture(args, run_dir: Path, ks: list[int]):
     if not 0 <= args.test_index < len(test_idx):
         raise ValueError(f"--test-index {args.test_index} out of range [0, {len(test_idx)})")
     k = args.k if args.k is not None else max(ks)
-    checkpoint = run_dir / f"mdn_k{k:02d}.json"
+    checkpoint, _ = _model_paths(run_dir, k)
     model = mdn.load_mdn(checkpoint)
     record = test_idx[args.test_index]
     # only a latent model's: a spectrum sweep leaves an earlier --autoencoder sweep's ae.json

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import mdn
 from .mdn import MdnHead, MdnModel
-from .nncore import TrainingDivergedError, finite_float, write_csv
+from .nncore import TrainingDivergedError
 from .train import (
     ROLE_DONOR,
     ROLE_WARM_JITTER,
@@ -81,7 +80,6 @@ class SweepEntry(TrainResult):
     """One K of a sweep: its fit (``best_val_loss`` is the val NLL) and its train/test NLL."""
 
     k: int
-    strategy: str
     train_nll: float
     test_nll: float
 
@@ -119,7 +117,7 @@ def sweep(
             fit = train_mdn(model, data, config, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"K={k}: {exc}") from exc
-        entry = SweepEntry(**vars(fit), k=k, strategy=strategy,
+        entry = SweepEntry(**vars(fit), k=k,
                            train_nll=mdn.batch_nll(model, data.train_x, data.train_y),
                            test_nll=mdn.batch_nll(model, data.test_x, data.test_y))
         entries.append(entry)
@@ -127,31 +125,4 @@ def sweep(
             on_trained(entry)
         prev_model = model
     return entries
-
-
-# --- CSV emission ----------------------------------------------------------------
-#
-# Loss/epoch results are split from wall-clock timing so the result file is
-# byte-reproducible for a fixed seed; timing lives in its own sidecar CSV.
-
-
-SWEEP_RESULTS_COLUMNS = {
-    "K": int, "strategy": str, "epochs": int,
-    "train_nll": finite_float, "val_nll": finite_float, "test_nll": finite_float,
-}
-
-
-def write_sweep_results(path: str | Path, entries: list[SweepEntry]) -> None:
-    rows = ([e.k, e.strategy, e.epochs, e.train_nll, e.best_val_loss, e.test_nll] for e in entries)
-    write_csv(path, SWEEP_RESULTS_COLUMNS, rows)
-
-
-def write_sweep_timing(
-    path: str | Path, entries: list[SweepEntry], ae_fit: TrainResult | None = None
-) -> None:
-    rows = [] if ae_fit is None else [["ae_train", "-", ae_fit.seconds]]
-    rows += [[f"k={e.k}", e.strategy, e.seconds] for e in entries]
-    strategy = entries[0].strategy if entries else "-"
-    rows.append(["total", strategy, sum(row[2] for row in rows)])
-    write_csv(path, {"stage": str, "strategy": str, "seconds": float}, rows)
 

@@ -1,5 +1,5 @@
 """The package's public surface: what ``specinv`` exports, what README imports from it, and
-which of its modules may parse CSV or import scipy."""
+which of its modules may parse, read or write CSV or import scipy."""
 
 import ast
 import inspect
@@ -39,6 +39,22 @@ def test_only_nncore_imports_csv():
         or (isinstance(node, ast.ImportFrom) and node.module == "csv")
     }
     assert sorted(importers) == ["nncore.py"]
+
+
+def test_only_cli_and_dataset_name_the_csv_io():
+    """``cli`` lays out a run directory and ``dataset`` its file: apart from ``nncore``,
+    which defines them, no other module names ``write_csv`` or ``read_csv``."""
+    csv_io = {"write_csv", "read_csv"}
+    users = {
+        path.name
+        for path in SRC.glob("*.py")
+        if path.name != "nncore.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id in csv_io)
+        or (isinstance(node, ast.Attribute) and node.attr in csv_io)
+        or (isinstance(node, ast.alias) and node.name in csv_io)
+    }
+    assert sorted(users) == ["cli.py", "dataset.py"]
 
 
 def test_no_module_imports_scipy():

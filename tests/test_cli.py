@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import string
 import subprocess
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from specinv import autoencoder, cli, dataset, mdn, nncore, transfer
 from specinv.cli import EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from specinv.nncore import write_csv
+from specinv.train import TrainResult
 from util import assert_no_child_left, load_metadata, small_mdn
 
 
@@ -254,6 +256,46 @@ class TestSweepWrites:
         assert_no_child_left()
 
 
+class TestSweepFiles:
+    """sweep_results.csv and sweep_timing.csv, written from a sweep's entries."""
+
+    ENTRIES = [
+        transfer.SweepEntry(model=None, epochs=epochs, log=[], best_val_loss=val_nll,
+                            seconds=seconds, k=k, train_nll=val_nll / 3, test_nll=val_nll + 0.1)
+        for k, epochs, val_nll, seconds in [(1, 5, 0.1 + 0.2, 0.25), (2, 3, -1 / 3, 1 / 7)]
+    ]
+    TIMING_COLUMNS = {"stage": str, "strategy": str, "seconds": float}
+
+    def test_results_csv_round_trip(self, tmp_path):
+        cli.write_sweep_files(tmp_path, self.ENTRIES, "tl1", None)
+        path = tmp_path / "sweep_results.csv"
+        results, _ = nncore.read_csv(path, cli.SWEEP_RESULTS_COLUMNS)
+        assert results["K"] == [1, 2]
+        assert results["strategy"] == ["tl1", "tl1"]
+        assert results["epochs"] == [5, 3]
+        for column, name in [("train_nll", "train_nll"), ("val_nll", "best_val_loss"),
+                             ("test_nll", "test_nll")]:
+            assert list(results[column]) == [getattr(e, name) for e in self.ENTRIES]
+        header = path.read_text().splitlines()[0]
+        assert "seconds" not in header  # timing lives in its own file
+        timing, _ = nncore.read_csv(tmp_path / "sweep_timing.csv", self.TIMING_COLUMNS)
+        assert timing["stage"] == ["k=1", "k=2", "total"]  # no autoencoder, no ae_train
+
+    def test_timing_csv(self, tmp_path):
+        """sweep_timing.csv writes exactly each fit's seconds, and their sum."""
+        ae_fit = TrainResult(model=None, epochs=0, log=[], best_val_loss=math.nan, seconds=1.5)
+        cli.write_sweep_files(tmp_path, self.ENTRIES, "none", ae_fit)
+        path = tmp_path / "sweep_timing.csv"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "stage,strategy,seconds"
+        assert lines[1] == "ae_train,-,1.5"
+        timing, _ = nncore.read_csv(path, self.TIMING_COLUMNS)
+        assert timing["stage"] == ["ae_train", "k=1", "k=2", "total"]
+        assert timing["strategy"] == ["-", "none", "none", "none"]
+        seconds = [1.5, 0.25, 1 / 7]
+        assert list(timing["seconds"]) == [*seconds, sum(seconds)]
+
+
 class TestPredict:
     @pytest.fixture()
     def trained_run(self, tiny_dataset, tmp_path):
@@ -454,7 +496,7 @@ class TestBadInputs:
         dataset.save_dataset(path, ds)
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        write_csv(run_dir / "sweep_results.csv", transfer.SWEEP_RESULTS_COLUMNS,
+        write_csv(run_dir / "sweep_results.csv", cli.SWEEP_RESULTS_COLUMNS,
                   [[1, "none", 2, 0.5, 0.5, 0.5]])
         code = run("report", "--run-dir", run_dir, "--dataset", path)
         assert code == EXIT_IO
@@ -506,7 +548,7 @@ def run_on(run_dir, command, tiny_dataset, capsys):
         argv = ["predict", "--checkpoint", run_dir / "mdn_k02.json", "--spectrum-file",
                 spectrum, "--top", 2, "--out", out, *(["--ae", ae] if ae.exists() else [])]
     else:
-        write_csv(run_dir / "sweep_results.csv", transfer.SWEEP_RESULTS_COLUMNS,
+        write_csv(run_dir / "sweep_results.csv", cli.SWEEP_RESULTS_COLUMNS,
                   [[2, "none", 2, 0.5, 0.5, 0.5]])
         out = run_dir / "report"
         argv = ["report", "--run-dir", run_dir, "--dataset", tiny_dataset]
@@ -760,6 +802,19 @@ class TestConfigFile:
         assert "seed = 5" in text  # file wins over default
         assert len(read_csv(out / "log_k01.csv")) == 4
 
+    @pytest.mark.parametrize("text,message", [
+        ("seed = 1\n# again\nseed = 2\n", "line 3: seed was set on line 1"),
+        ("command = train\nseed = 1\ncommand = train\n", "line 3: command was set on line 1"),
+    ], ids=["seed", "command"])
+    def test_repeated_key_rejected(self, text, message, tmp_path, capsys):
+        """A key given twice is a mistake, not an override; config.txt never repeats one."""
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        code = run("train", "--config", cfg, "--out", tmp_path / "x")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key = 1\n")
@@ -958,6 +1013,21 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert err.count("\n") == 1 and "--dataset" in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_empty_out_is_usage_error(self, given, command, tmp_path, monkeypatch, capsys):
+        """An empty --out, or an empty 'out =' config line, would write the run into the
+        working directory: it exits 2 before the dataset, here a missing one, is read."""
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.txt"
+        config.write_text("out =\n" if given == "config" else "seed = 3\n", encoding="utf-8")
+        code = run(command, "--config", config, "--dataset", tmp_path / "missing.csv",
+                   *(["--out", ""] if given == "flag" else []))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.count("\n") == 1 and "--out" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
 
     def test_bad_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from specinv import autoencoder, cli, dataset, mdn, nncore, transfer
+from specinv import autoencoder, cli, dataset, mdn, nncore
 from specinv.cli import EXIT_IO, main
 from specinv.nncore import CheckpointFormatError, DatasetFormatError
 from util import small_mdn
@@ -36,7 +36,7 @@ PROPERTY = settings(max_examples=60, deadline=None, database=None,
 LOADERS = {
     "spectrum": (cli.read_spectrum_file, DatasetFormatError),
     "dataset": (dataset.load_dataset, DatasetFormatError),
-    "sweep_results": (lambda path: nncore.read_csv(path, transfer.SWEEP_RESULTS_COLUMNS),
+    "sweep_results": (lambda path: nncore.read_csv(path, cli.SWEEP_RESULTS_COLUMNS),
                       DatasetFormatError),
     "checkpoint": (mdn.load_mdn, CheckpointFormatError),
     "autoencoder": (autoencoder.load_ae, CheckpointFormatError),
@@ -51,7 +51,7 @@ def valid(tmp_path_factory):
     ds = dataset.generate_dataset(10, seed=1)
     dataset.save_dataset(root / "dataset", ds)
     (root / "spectrum").write_text(", ".join(format(v, ".17g") for v in ds.spectra[0]))
-    nncore.write_csv(root / "sweep_results", transfer.SWEEP_RESULTS_COLUMNS,
+    nncore.write_csv(root / "sweep_results", cli.SWEEP_RESULTS_COLUMNS,
                      [[1, "tl1", 3, 0.25, 0.5, 0.75], [2, "tl1", 4, 0.125, 0.375, 0.5]])
     model = small_mdn([101, 4, 3], 3, mdn.N_DESIGN_PARAMS, np.random.default_rng(0))
     mdn.save_mdn(root / "checkpoint", model)

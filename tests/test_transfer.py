@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specinv import autoencoder, dataset, mdn, nncore, transfer
+from specinv import autoencoder, dataset, mdn
 from specinv.mdn import build_mdn, mixture_for
 from specinv.nncore import TrainingDivergedError
 from specinv.train import SupervisedArrays, TrainConfig, TrainResult, model_streams, train_mdn
@@ -274,41 +274,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="strategy"):
             sweep(toy_arrays(), 1, "tl3", self._cfg())
 
-
-@pytest.mark.usefixtures("toy_trunk")
-class TestSweepCsv:
-    def test_results_csv_round_trip(self, tmp_path):
-        arrays = toy_arrays(seed=4)
-        res = sweep(arrays, 2, "tl1",
-                    TrainConfig(batch_size=16, max_epochs=5, seed=3))
-        path = tmp_path / "sweep_results.csv"
-        transfer.write_sweep_results(path, res)
-        results, _ = nncore.read_csv(path, transfer.SWEEP_RESULTS_COLUMNS)
-        assert results["K"] == [1, 2]
-        assert results["epochs"] == [entry.epochs for entry in res]
-        assert list(results["val_nll"]) == [entry.best_val_loss for entry in res]
-        header = path.read_text().splitlines()[0]
-        assert "seconds" not in header  # timing lives in its own file
-
-    def test_timing_csv(self, tmp_path):
-        arrays = toy_arrays(seed=5)
-        res = sweep(arrays, 2, "none",
-                    TrainConfig(batch_size=16, max_epochs=4, seed=3))
-        path = tmp_path / "sweep_timing.csv"
-        ae_fit = TrainResult(model=None, epochs=0, log=[], best_val_loss=math.nan, seconds=1.5)
-        transfer.write_sweep_timing(path, res, ae_fit=ae_fit)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "stage,strategy,seconds"
-        stages = [line.split(",")[0] for line in lines[1:]]
-        assert stages == ["ae_train", "k=1", "k=2", "total"]
-        assert lines[1] == "ae_train,-,1.5"
-
-    def test_every_fit_is_timed(self, tmp_path):
-        """train_mdn, train_ae and each sweep entry carry their fit's wall time, and
-        sweep_timing.csv writes exactly those seconds."""
+    def test_every_fit_is_timed(self):
+        """train_mdn, train_ae and each sweep entry carry their fit's wall time."""
         cfg = TrainConfig(batch_size=16, max_epochs=3, seed=3)
         arrays = toy_arrays(seed=6)
-        mdn_fit = train_mdn(build_mdn(6, 2, np.random.default_rng(0)), arrays, cfg, shuffle_rng=np.random.default_rng(1),
+        mdn_fit = train_mdn(build_mdn(6, 2, np.random.default_rng(0)), arrays, cfg,
+                            shuffle_rng=np.random.default_rng(1),
                             dropout_rng=np.random.default_rng(2))
         spectra = dataset.surrogate_spectra(
             np.array([d.to_array() for d in dataset.generate_designs(12, seed=0)])
@@ -316,12 +287,5 @@ class TestSweepCsv:
         ae_fit = autoencoder.train_ae(spectra[:8], spectra[8:], cfg,
                                       shuffle_rng=np.random.default_rng(1),
                                       rng=np.random.default_rng(2))
-        res = sweep(arrays, 2, "tl1", cfg)
-        fits = [mdn_fit, ae_fit, *res]
-        for fit in fits:
+        for fit in [mdn_fit, ae_fit, *sweep(arrays, 2, "tl1", cfg)]:
             assert math.isfinite(fit.seconds) and fit.seconds > 0
-        path = tmp_path / "sweep_timing.csv"
-        transfer.write_sweep_timing(path, res, ae_fit=ae_fit)
-        timing, _ = nncore.read_csv(path, {"stage": str, "strategy": str, "seconds": float})
-        assert timing["stage"] == ["ae_train", "k=1", "k=2", "total"]
-        assert list(timing["seconds"][:3]) == [fit.seconds for fit in fits[1:]]
