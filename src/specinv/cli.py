@@ -37,6 +37,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 
+AE_FILE = "ae.json"  # an --autoencoder sweep's autoencoder, beside the models of its latents
+
 
 @dataclass
 class RunConfig(TrainConfig):
@@ -195,12 +197,19 @@ def read_spectrum_file(path: str | Path) -> np.ndarray:
 # --- subcommands ---------------------------------------------------------------
 
 
+def _out_path(value: str) -> Path:
+    """An --out given on the command line; "" would write into the working directory."""
+    if not value:
+        raise ValueError("--out must not be empty")
+    return Path(value)
+
+
 def cmd_gen_data(args: argparse.Namespace) -> int:
+    out = _out_path(args.out_file)
     cfg = build_config(args)
     samples = args.samples
     if samples < dataset.MIN_RECORDS:
         raise ValueError(f"--samples must be >= {dataset.MIN_RECORDS}, got {samples}")
-    out = args.out_file
     out.parent.mkdir(parents=True, exist_ok=True)
     ds = dataset.generate_dataset(samples, seed=cfg.seed)
     dataset.save_dataset(out, ds, seed=cfg.seed)
@@ -257,7 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ae_fit = autoencoder.train_ae(
             arrays.train_x, arrays.val_x, cfg, shuffle_rng=shuffle_rng, rng=rng
         )
-        autoencoder.save_ae(out_dir / "ae.json", ae_fit.model)
+        autoencoder.save_ae(out_dir / AE_FILE, ae_fit.model)
         _write_log_csv(out_dir / "ae_log.csv", ae_fit.log, "mse")
         latents = autoencoder.encode(ae_fit.model, ds.spectra)
         arrays = arrays_from_dataset(ds, x_matrix=latents)
@@ -283,33 +292,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _takes_latents(model: mdn.MdnModel) -> bool:
-    """Whether ``model`` was trained on an autoencoder's latents rather than on spectra."""
-    return model.input_width != dataset.N_WAVELENGTHS
-
-
-def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray,
-                      ae_path) -> mdn.MixtureParams:
+def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray) -> mdn.MixtureParams:
     """The mixture of ``model``, loaded from ``checkpoint``, for one spectrum, through the
-    autoencoder at ``ae_path`` if the model takes latents.
+    autoencoder its sweep wrote beside ``checkpoint`` if the model takes latents, not spectra.
 
     An autoencoder whose latents are not as wide as the model's inputs is a format error
     naming both files.  Saturated weights, which can pass every format check yet give
     non-finite latents, or a mixture with a non-finite value, or a peak density
     ``pi / (sqrt(2 pi) sigma)`` or a span of ``mu +/- 8 sigma`` beyond float64, are a format
     error of the file that holds them."""
-    ae = autoencoder.load_ae(ae_path) if ae_path else None
-    if ae and ae.encoder.output_width != model.input_width:
-        raise CheckpointFormatError(f"{ae_path}: the encoder gives {ae.encoder.output_width}-wide "
-                                    f"latents, but {checkpoint} takes {model.input_width} inputs")
-    with np.errstate(all="ignore"):
-        x = autoencoder.encode(ae, spectrum) if ae else spectrum
-        if ae and not np.isfinite(x).all():
+    x = spectrum
+    if model.input_width != dataset.N_WAVELENGTHS:
+        ae_path = Path(checkpoint).parent / AE_FILE
+        ae = autoencoder.load_ae(ae_path)
+        if (width := ae.encoder.output_width) != model.input_width:
+            raise CheckpointFormatError(f"{ae_path}: the encoder gives {width}-wide latents, "
+                                        f"but {checkpoint} takes {model.input_width} inputs")
+        x = autoencoder.encode(ae, spectrum)
+        if not np.isfinite(x).all():
             raise CheckpointFormatError(f"{ae_path}: the latents of this spectrum are not finite")
-        mix = mdn.mixture_for(model, x)
-        peaks = mix.pi[:, None] / (np.sqrt(2.0 * np.pi) * mix.sigma)  # inf for a sigma of 0
-        bounds = mix.mu + np.multiply.outer([-8.0, 8.0], mix.sigma)  # what marginal_grid spans
-        spans = np.ptp(bounds, axis=(0, 1))  # NaN or inf if any bound is
+    mix = mdn.mixture_for(model, x)
+    peaks = mix.pi[:, None] / (np.sqrt(2.0 * np.pi) * mix.sigma)  # inf for a sigma of 0
+    bounds = mix.mu + np.multiply.outer([-8.0, 8.0], mix.sigma)  # what marginal_grid spans
+    spans = np.ptp(bounds, axis=(0, 1))  # NaN or inf if any bound is
     if not (np.isfinite(peaks).all() and np.isfinite(spans).all()):
         raise CheckpointFormatError(f"{checkpoint}: the mixture for this spectrum has non-finite "
                                     f"values, or a peak density or span beyond float64")
@@ -317,19 +322,13 @@ def _spectrum_mixture(model: mdn.MdnModel, checkpoint, spectrum: np.ndarray,
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    out_dir = _out_path(args.out)
     model = mdn.load_mdn(args.checkpoint)
     if not 1 <= args.top <= model.n_components:
         raise ValueError(f"--top {args.top} out of range [1, {model.n_components}]")
     spectrum = read_spectrum_file(args.spectrum_file)
-    latent = _takes_latents(model)
-    if args.ae and not latent:
-        raise ValueError("this checkpoint takes spectra and needs no --ae")
-    if latent and not args.ae:
-        raise ValueError(f"{args.checkpoint} takes {model.input_width} inputs, not spectra: "
-                         f"give its autoencoder with --ae")
-    mix = _spectrum_mixture(model, args.checkpoint, spectrum, args.ae)
+    mix = _spectrum_mixture(model, args.checkpoint, spectrum)
     found = mdn.rank_candidates(mix, spectrum, args.top)
-    out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(
         out_dir / "predictions.csv",
@@ -360,6 +359,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
+    out_dir = run_dir / "report" if args.out is None else _out_path(args.out)
     results_path = run_dir / "sweep_results.csv"
     if not results_path.exists():
         raise FileNotFoundError(f"{results_path} not found; run 'sweep' first")
@@ -372,7 +372,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     logs = {k: read_csv(path, log_columns("nll"))[0] for k, path in log_paths.items()
             if path.exists()}
     marginals = _test_record_mixture(args, run_dir, ks) if args.dataset else None
-    out_dir = Path(args.out) if args.out else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
 
     strategy = results["strategy"][0]
@@ -416,9 +415,7 @@ def _test_record_mixture(args, run_dir: Path, ks: list[int]):
     checkpoint, _ = _model_paths(run_dir, k)
     model = mdn.load_mdn(checkpoint)
     record = test_idx[args.test_index]
-    # only a latent model's: a spectrum sweep leaves an earlier --autoencoder sweep's ae.json
-    mix = _spectrum_mixture(model, checkpoint, ds.spectra[record],
-                            run_dir / "ae.json" if _takes_latents(model) else None)
+    mix = _spectrum_mixture(model, checkpoint, ds.spectra[record])
     return k, mix, ds.designs[record]
 
 
@@ -472,7 +469,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate the synthetic labeled dataset")
     p.add_argument("--samples", type=int, default=dataset.DEFAULT_SAMPLE_COUNT)
     _add_setting_flags(p, ["seed"])
-    p.add_argument("--out", dest="out_file", type=Path, default=Path("dataset.csv"))
+    p.add_argument("--out", dest="out_file", default="dataset.csv")
     p.set_defaults(func=cmd_gen_data)
 
     settings = [f.name for f in dataclasses.fields(RunConfig)]
@@ -488,8 +485,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--spectrum-file", dest="spectrum_file", required=True)
     p.add_argument("--top", type=int, default=4)
-    p.add_argument("--ae", help="autoencoder checkpoint for latent-input models")
-    p.add_argument("--out", type=Path, default=Path("prediction"))
+    p.add_argument("--out", default="prediction")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="emit SVG/CSV figures from a finished run")

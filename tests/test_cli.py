@@ -352,6 +352,8 @@ class TestPredict:
         assert code == EXIT_USAGE
 
     def test_latent_model_needs_ae(self, tiny_dataset, spectrum_file, tmp_path):
+        """A latent sweep's checkpoint is predicted through the ae.json its sweep wrote
+        beside it: the mixture written is, bit for bit, the model's on that encoder's latents."""
         out = tmp_path / "ae_run"
         run(
             "sweep", "--dataset", tiny_dataset, "--k-max", 1, "--strategy", "tl1",
@@ -360,14 +362,14 @@ class TestPredict:
         )
         code = run(
             "predict", "--checkpoint", out / "mdn_k01.json",
-            "--spectrum-file", spectrum_file, "--top", 1, "--out", tmp_path / "p2",
-        )
-        assert code == EXIT_USAGE
-        code = run(
-            "predict", "--checkpoint", out / "mdn_k01.json", "--ae", out / "ae.json",
-            "--spectrum-file", spectrum_file, "--top", 1, "--out", tmp_path / "p3",
+            "--spectrum-file", spectrum_file, "--top", 1, "--out", tmp_path / "p",
         )
         assert code == EXIT_OK
+        latents = autoencoder.encode(autoencoder.load_ae(out / "ae.json"),
+                                     cli.read_spectrum_file(spectrum_file))
+        mix = mdn.mixture_for(mdn.load_mdn(out / "mdn_k01.json"), latents)
+        (row,) = read_csv(tmp_path / "p" / "mixture.csv")
+        assert [float(v) for v in row.values()] == [1, *mix.pi, *mix.mu[0], *mix.sigma[0]]
 
     def test_malformed_spectrum_file(self, trained_run, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -510,14 +512,14 @@ class TestBadInputs:
         assert capsys.readouterr().err == f"error: --top {top} out of range [1, 3]\n"
         assert not (tmp_path / "pred").exists()
 
-    def test_ae_given_to_a_spectrum_model(self, checkpoint, tmp_path, capsys):
-        ae = tmp_path / "ae.json"
-        autoencoder.save_ae(ae, autoencoder.init_ae(np.random.default_rng(0)))
-        code = self.predict(checkpoint, ["0.5"] * 101, tmp_path / "pred", "--ae", ae)
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == "error: this checkpoint takes spectra and needs no --ae\n"
-        assert not (tmp_path / "pred").exists()
+    def test_ae_given_to_a_spectrum_model(self, checkpoint, tmp_path):
+        """A spectrum model never reads the ae.json beside it, not even a malformed one."""
+        assert self.predict(checkpoint, ["0.5"] * 101, tmp_path / "plain") == EXIT_OK
+        (tmp_path / cli.AE_FILE).write_text("not json")
+        assert self.predict(checkpoint, ["0.5"] * 101, tmp_path / "pred") == EXIT_OK
+        for name in ("predictions", "resimulated", "mixture"):
+            assert ((tmp_path / "pred" / f"{name}.csv").read_bytes()
+                    == (tmp_path / "plain" / f"{name}.csv").read_bytes())
 
 
 def _saturate(mlp):
@@ -538,15 +540,14 @@ SATURATED_CHECKPOINTS = {
 
 
 def run_on(run_dir, command, tiny_dataset, capsys):
-    """``command`` on ``run_dir``'s mdn_k02.json (and ae.json, if there): the exit code,
-    stderr, and the output directory it was given."""
-    ae = run_dir / "ae.json"
+    """``command`` on ``run_dir``'s mdn_k02.json: the exit code, stderr, and the output
+    directory it was given."""
     if command == "predict":
         spectrum = run_dir.parent / "spectrum.txt"
         spectrum.write_text(" ".join(map(str, dataset.load_dataset(tiny_dataset).spectra[0])))
         out = run_dir.parent / "pred"
         argv = ["predict", "--checkpoint", run_dir / "mdn_k02.json", "--spectrum-file",
-                spectrum, "--top", 2, "--out", out, *(["--ae", ae] if ae.exists() else [])]
+                spectrum, "--top", 2, "--out", out]
     else:
         write_csv(run_dir / "sweep_results.csv", cli.SWEEP_RESULTS_COLUMNS,
                   [[2, "none", 2, 0.5, 0.5, 0.5]])
@@ -653,28 +654,31 @@ class TestModelShape:
 
 
 class TestLatentPair:
-    """A checkpoint that takes 10-wide latents needs the autoencoder that gives them: one
-    stderr line naming the files, and nothing written."""
+    """A checkpoint that takes 10-wide latents needs the autoencoder beside it, in ae.json,
+    to give them: for predict and report alike, exit 3, one stderr line naming the files,
+    and nothing written."""
 
-    @pytest.mark.parametrize("command,encoder,code,reason", [
-        ("report", None, EXIT_IO, "{ae}: No such file or directory"),
-        ("predict", [101, 8, 7], EXIT_IO,
-         "{ae}: the encoder gives 7-wide latents, but {checkpoint} takes 10 inputs"),
-        ("predict", None, EXIT_USAGE,
-         "{checkpoint} takes 10 inputs, not spectra: give its autoencoder with --ae"),
-    ], ids=["report_without_ae_json", "predict_ae_of_another_latent_width", "predict_without_ae"])
-    def test_latent_checkpoint(self, command, encoder, code, reason, tiny_dataset, tmp_path,
-                               capsys):
+    CASES = {
+        "without_ae_json": (None, "{ae}: No such file or directory"),
+        "ae_of_another_latent_width": ([101, 8, 7], "{ae}: the encoder gives 7-wide latents, "
+                                                    "but {checkpoint} takes 10 inputs"),
+    }
+
+    PAIRS = [(command, case) for case in CASES for command in ("report", "predict")]
+
+    @pytest.mark.parametrize("command,case", PAIRS, ids=[f"{c}_{case}" for c, case in PAIRS])
+    def test_latent_checkpoint(self, command, case, tiny_dataset, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         ae, checkpoint = run_dir / "ae.json", run_dir / "mdn_k02.json"
+        encoder, reason = self.CASES[case]
         rng = np.random.default_rng(0)
         if encoder:
             autoencoder.save_ae(ae, autoencoder.AeModel(
                 nncore.init_mlp(encoder, rng), nncore.init_mlp(encoder[::-1], rng)))
         mdn.save_mdn(checkpoint, small_mdn([10, 8], 2, 5, rng))
         got, err, out = run_on(run_dir, command, tiny_dataset, capsys)
-        assert (got, err) == (code, f"error: {reason.format(ae=ae, checkpoint=checkpoint)}\n")
+        assert (got, err) == (EXIT_IO, f"error: {reason.format(ae=ae, checkpoint=checkpoint)}\n")
         assert not out.exists()
 
 
@@ -727,18 +731,24 @@ class TestReport:
 
     def test_stale_ae_json_is_ignored(self, tiny_dataset, finished_run, tmp_path):
         """A spectrum sweep into an --autoencoder sweep's directory keeps that sweep's
-        ae.json; the report is the one of the same run without it."""
+        ae.json; the report, and a predict from its checkpoint, are those of the same run
+        without it."""
         stale = tmp_path / "stale"
         flags = ("--dataset", tiny_dataset, "--out", stale, *self.SWEEP_FLAGS)
         assert run("sweep", *flags, "--autoencoder") == EXIT_OK
         assert run("sweep", *flags) == EXIT_OK
         assert (stale / "ae.json").exists()
+        spectrum = tmp_path / "spectrum.txt"
+        spectrum.write_text(" ".join(map(str, dataset.load_dataset(tiny_dataset).spectra[0])))
         for run_dir in (finished_run, stale):
             assert run("report", "--run-dir", run_dir, "--dataset", tiny_dataset) == EXIT_OK
-        for name in dataset.PARAM_NAMES:
-            for ext in ("csv", "svg"):
-                marginal = f"report/marginal_{name}.{ext}"
-                assert (stale / marginal).read_bytes() == (finished_run / marginal).read_bytes()
+            assert run("predict", "--checkpoint", run_dir / "mdn_k02.json", "--spectrum-file",
+                       spectrum, "--top", 2, "--out", run_dir / "pred") == EXIT_OK
+        written = [f"report/marginal_{name}.{ext}" for name in dataset.PARAM_NAMES
+                   for ext in ("csv", "svg")]
+        written += [f"pred/{name}.csv" for name in ("predictions", "resimulated", "mixture")]
+        for name in written:
+            assert (stale / name).read_bytes() == (finished_run / name).read_bytes()
 
     def test_missing_run_dir(self, tmp_path):
         code = run("report", "--run-dir", tmp_path / "nope")
@@ -966,6 +976,10 @@ FLAG_INVENTORY = [
      TRAIN_FLAGS | {"--k"}),
     ("gen-data", {"seed", "config", "samples", "out_file"},
      {"--seed", "--config", "--samples", "--out"}),
+    ("predict", {"checkpoint", "spectrum_file", "top", "out"},
+     {"--checkpoint", "--spectrum-file", "--top", "--out"}),
+    ("report", {"run_dir", "dataset", "k", "test_index", "out"},
+     {"--run-dir", "--dataset", "--k", "--test-index", "--out"}),
 ]
 
 
@@ -1014,15 +1028,24 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "--dataset" in err
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("command", ["train", "sweep"])
-    @pytest.mark.parametrize("given", ["flag", "config"])
+    # each command's arguments but --out; every file they name but run.txt is missing
+    EMPTY_OUT_ARGV = {
+        "gen-data": ["--config", "run.txt"],
+        "train": ["--config", "run.txt", "--dataset", "missing.csv"],
+        "sweep": ["--config", "run.txt", "--dataset", "missing.csv"],
+        "predict": ["--checkpoint", "missing.json", "--spectrum-file", "missing.txt"],
+        "report": ["--run-dir", "missing", "--dataset", "missing.csv"],
+    }
+
+    @pytest.mark.parametrize("given,command", [("flag", c) for c in EMPTY_OUT_ARGV]
+                             + [("config", "train"), ("config", "sweep")])
     def test_empty_out_is_usage_error(self, given, command, tmp_path, monkeypatch, capsys):
-        """An empty --out, or an empty 'out =' config line, would write the run into the
-        working directory: it exits 2 before the dataset, here a missing one, is read."""
+        """An empty --out, or an empty 'out =' config line, would write into the working
+        directory: it exits 2 before any file, here a missing one, is read."""
         monkeypatch.chdir(tmp_path)
-        config = tmp_path / "run.txt"
-        config.write_text("out =\n" if given == "config" else "seed = 3\n", encoding="utf-8")
-        code = run(command, "--config", config, "--dataset", tmp_path / "missing.csv",
+        (tmp_path / "run.txt").write_text("out =\n" if given == "config" else "seed = 3\n",
+                                          encoding="utf-8")
+        code = run(command, *self.EMPTY_OUT_ARGV[command],
                    *(["--out", ""] if given == "flag" else []))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE

@@ -6,6 +6,7 @@ Through ``cli.main`` a file that does not load makes ``predict``, ``train`` and
 """
 
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_the_valid_files_load(valid):
 
 
 @pytest.mark.parametrize("command", ["predict --spectrum-file", "predict --checkpoint",
-                                     "predict --ae", "train --dataset",
+                                     "predict ae.json", "train --dataset",
                                      "report sweep_results.csv"])
 @PROPERTY
 @given(data=ANY_BYTES)
@@ -111,18 +112,21 @@ def test_the_valid_files_load(valid):
 def test_cli_exits_3_with_one_line(command, data, valid, tmp_path, capsys):
     name, role = command.split()
     out = tmp_path / "out"
+    run_dir = tmp_path / "run"  # a role that is not a flag is the name of a file in it
+    run_dir.mkdir(exist_ok=True)
+    flags = {"--spectrum-file": valid / "spectrum", "--checkpoint": valid / "checkpoint",
+             "--top": 1} if name == "predict" else {}
     if name == "report":
-        run_dir = tmp_path / "run"
-        run_dir.mkdir(exist_ok=True)
-        (run_dir / role).write_bytes(data)
-        argv = ["report", "--run-dir", run_dir]
-    else:
-        checkpoint = valid / ("latent_checkpoint" if role == "--ae" else "checkpoint")
-        flags = {"--spectrum-file": valid / "spectrum", "--checkpoint": checkpoint,
-                 "--top": 1} if name == "predict" else {}
+        flags["--run-dir"] = run_dir
+    if role == "ae.json":  # the autoencoder beside a copy of a model that takes its latents
+        flags["--checkpoint"] = run_dir / "mdn_k02.json"
+        shutil.copyfile(valid / "latent_checkpoint", flags["--checkpoint"])
+    if role.startswith("--"):
         flags[role] = tmp_path / "bad"
         flags[role].write_bytes(data)
-        argv = [name, *[a for flag in flags.items() for a in flag]]
+    else:
+        (run_dir / role).write_bytes(data)
+    argv = [name, *[a for flag in flags.items() for a in flag]]
     capsys.readouterr()
     code = main([str(a) for a in argv + ["--out", out]])
     err = capsys.readouterr().err

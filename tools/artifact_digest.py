@@ -45,8 +45,7 @@ COMMANDS = [
     ("predict_raw", ["predict", "--checkpoint", "sweep_tl2/mdn_k03.json",
                      "--spectrum-file", "spectrum.txt", "--top", "3", "--out", "predict_raw"]),
     ("predict_latent", ["predict", "--checkpoint", "sweep_tl1_ae/mdn_k03.json",
-                        "--ae", "sweep_tl1_ae/ae.json", "--spectrum-file", "spectrum.txt",
-                        "--top", "2", "--out", "predict_latent"]),
+                        "--spectrum-file", "spectrum.txt", "--top", "2", "--out", "predict_latent"]),
     ("report", ["report", "--run-dir", "sweep_tl2", "--dataset", "data.csv"]),
     ("report_ae", ["report", "--run-dir", "sweep_tl1_ae", "--dataset", "data.csv"]),
 ]
