@@ -1,8 +1,8 @@
 """Command-line driver tying the pieces together.
 
-Subcommands: gen-data, train, sweep, predict, report.  Every run directory
-receives a config.txt capturing the seed and hyperparameters, which is enough
-to reproduce all numeric outputs bit-identically on the same platform.
+Subcommands: gen-data, train, sweep, predict, report.  Every train or sweep run
+directory holds one run's config.txt: its command and that command's settings, which
+is enough to reproduce all numeric outputs bit-identically on the same platform.
 
 Exit codes: 0 success, 2 argument errors, 3 I/O or file-format errors,
 4 training divergence.
@@ -60,12 +60,21 @@ class RunConfig(TrainConfig):
                       f"one of {', '.join(transfer.STRATEGIES)}")
 
 
+_FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
+# each command's settings: the RunConfig fields its flags set, the only keys its --config
+# file may hold, and the lines its config.txt writes
+SETTINGS = {
+    "gen-data": ["seed"],
+    "train": [name for name in _FIELDS if name not in ("k_max", "strategy", "autoencoder")],
+    "sweep": [name for name in _FIELDS if name != "k"],
+}
+
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def parse_config_file(path: str | Path, command: str) -> dict:
-    """key = value lines; keys match RunConfig fields.
+    """key = value lines; each key is one of ``command``'s settings.
 
     A line whose first non-blank character is '#' is a comment; a '#' anywhere
     else belongs to the value.
@@ -73,7 +82,8 @@ def parse_config_file(path: str | Path, command: str) -> dict:
     A ``command`` line, which ``write_config`` records, must name ``command``,
     the subcommand being run, so a run's own config.txt replays it.  No key repeats.
     """
-    types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)
+             if f.name in SETTINGS[command]}
     values, key_lines = {}, {}
     try:
         text = read_text(path)
@@ -97,7 +107,7 @@ def parse_config_file(path: str | Path, command: str) -> dict:
                 raise ValueError(f"{path}: line {lineno}: command {value!r} is not {command!r}")
             continue
         if key not in types:
-            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}: line {lineno}: {command} takes no setting {key!r}")
         ty = types[key]
         if ty is bool:
             low = value.lower()
@@ -120,8 +130,7 @@ def parse_config_file(path: str | Path, command: str) -> dict:
 
 def write_config(path: str | Path, cfg: RunConfig, command: str) -> None:
     lines = [f"command = {command}"]
-    for f in sorted(dataclasses.fields(RunConfig), key=lambda f: f.name):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
+    lines += [f"{name} = {getattr(cfg, name)}" for name in sorted(SETTINGS[command])]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -130,10 +139,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config, args.command))
-    for f in dataclasses.fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
+    for name in SETTINGS[args.command]:
+        if (flag := getattr(args, name)) is not None:
+            values[name] = flag
     return RunConfig(**values)
 
 
@@ -234,15 +242,15 @@ def _start_run(args: argparse.Namespace):
     """The settings, dataset, split matrices and output directory of a train or sweep run;
     every setting is checked before the dataset is read, and the dataset before --out is made."""
     cfg = build_config(args)
-    if args.command == "train" and (cfg.strategy != transfer.STRATEGY_NONE or cfg.autoencoder):
-        raise ValueError("train fits a single model from scratch on spectra; "
-                         "use 'sweep' for tl1/tl2 or an autoencoder")
     for name in ("dataset", "out"):  # "" would read or write the working directory
         if not getattr(cfg, name):
             raise ValueError(f"--{name} (or a --config line '{name} =') must not be empty")
+    out_dir = Path(cfg.out)
+    if (out_dir / "config.txt").exists():  # another run's files would pass as this run's
+        raise ValueError(f"--out {out_dir} already holds a run's config.txt; "
+                         "each run needs a new directory")
     ds = _load_dataset(cfg.dataset, ("train", "val", "test"))
     arrays = arrays_from_dataset(ds)
-    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(out_dir / "config.txt", cfg, args.command)
     return cfg, ds, arrays, out_dir
@@ -447,11 +455,11 @@ def _write_marginals(out_dir: Path, k: int, mix: mdn.MixtureParams, truth: np.nd
 FLAG_SPELLINGS = {"dropout_rate": "--dropout"}
 
 
-def _add_setting_flags(p: argparse.ArgumentParser, names: list[str]) -> None:
-    """``--config`` plus one flag per RunConfig field in ``names``; a flag not given is None."""
+def _add_setting_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """``--config`` plus one flag per setting of ``command``; a flag not given is None."""
     p.add_argument("--config", help="key = value config file; flags override it")
     for f in dataclasses.fields(RunConfig):
-        if f.name in names:
+        if f.name in SETTINGS[command]:
             # type(f.default): under postponed annotations f.type is a string
             kind = ({"action": "store_const", "const": True} if type(f.default) is bool
                     else {"type": type(f.default)})
@@ -468,17 +476,16 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic labeled dataset")
     p.add_argument("--samples", type=int, default=dataset.DEFAULT_SAMPLE_COUNT)
-    _add_setting_flags(p, ["seed"])
+    _add_setting_flags(p, "gen-data")
     p.add_argument("--out", dest="out_file", default="dataset.csv")
     p.set_defaults(func=cmd_gen_data)
 
-    settings = [f.name for f in dataclasses.fields(RunConfig)]
     p = sub.add_parser("train", help="train a single K-component model from scratch")
-    _add_setting_flags(p, [n for n in settings if n not in ("k_max", "strategy", "autoencoder")])
+    _add_setting_flags(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="train models for K = 1..k_max")
-    _add_setting_flags(p, [n for n in settings if n != "k"])
+    _add_setting_flags(p, "sweep")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("predict", help="rank candidate designs for a spectrum")

@@ -184,10 +184,7 @@ def valid_absorbance(spectra: np.ndarray) -> np.ndarray:
 
 # --- splits and the labeled dataset ------------------------------------------------
 
-SPLIT_TRAIN = "train"
-SPLIT_VAL = "val"
-SPLIT_TEST = "test"
-_SPLITS = (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)
+_SPLITS = ("train", "val", "test")
 MIN_RECORDS = 10  # the fewest that give every split a row
 
 
@@ -202,10 +199,7 @@ def assign_splits(n: int, seed: int) -> np.ndarray:
     """Shuffled per-record split tags; deterministic per seed."""
     if n < MIN_RECORDS:
         raise ValueError(f"need at least {MIN_RECORDS} records to split, got {n}")
-    n_train, n_val, n_test = split_counts(n)
-    tags = np.array(
-        [SPLIT_TRAIN] * n_train + [SPLIT_VAL] * n_val + [SPLIT_TEST] * n_test, dtype=object
-    )
+    tags = np.repeat(np.array(_SPLITS, dtype=object), split_counts(n))
     perm = np.random.default_rng(seed).permutation(n)
     out = np.empty(n, dtype=object)
     out[perm] = tags

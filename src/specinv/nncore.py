@@ -58,11 +58,6 @@ def _silu_grad(z: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return np.multiply(sig, t, out=t)
 
 
-def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
-    """The parameter order: each layer's weight, then its bias."""
-    return [a for pair in zip(weights, biases) for a in pair]
-
-
 @dataclass
 class MlpModel:
     """A stack of affine layers with per-layer activation markers.
@@ -91,8 +86,8 @@ class MlpModel:
         return self.layer_widths[-1]
 
     def parameters(self) -> list[np.ndarray]:
-        """Weight/bias arrays interleaved per layer; views, not copies."""
-        return _interleave(self.weights, self.biases)
+        """Each layer's weight, then its bias; views, not copies."""
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
 
 def glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import string
 import subprocess
 import sys
@@ -135,10 +136,11 @@ class TestTrain:
                 "--out", tmp_path / "x")
         assert exc.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("line", ["autoencoder = true", "strategy = tl1"])
+    @pytest.mark.parametrize("line", ["autoencoder = true", "strategy = tl1",
+                                      "strategy = none", "autoencoder = false"])
     def test_sweep_setting_in_config_rejected(self, line, tiny_dataset, tmp_path, capsys):
-        """Only sweep grows models or trains an autoencoder; train refuses a config file
-        that asks for either, before it reads the dataset or makes --out."""
+        """Only sweep grows models or trains an autoencoder; train refuses a config line
+        of either setting, even at its default, before it reads the dataset or makes --out."""
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "run"
@@ -146,7 +148,8 @@ class TestTrain:
                    "--max-epochs", 2)
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
-        assert err.startswith("error: train fits a single model") and err.count("\n") == 1
+        key = line.split(" =")[0]
+        assert err == f"error: {cfg}: line 1: train takes no setting {key!r}\n"
         assert not out.exists()
 
 
@@ -192,6 +195,20 @@ class TestSweep:
         # the autoencoder's log holds reconstruction MSE, not mixture NLL
         assert (out / "ae_log.csv").read_text().splitlines()[0] == "epoch,train_mse,val_mse"
         assert (out / "log_k01.csv").read_text().splitlines()[0] == "epoch,train_nll,val_nll"
+
+    def test_second_run_into_a_run_directory_rejected(self, tiny_dataset, tmp_path, capsys):
+        """A run's --out must not already hold a run: its models, logs and ae.json would
+        stay beside the new run's and pass as its own.  Nothing of the first run changes."""
+        out = tmp_path / "run"
+        flags = ("--dataset", tiny_dataset, "--max-epochs", 2, "--batch-size", 16, "--out", out)
+        assert run("sweep", "--autoencoder", "--k-max", 3, "--seed", 1, *flags) == EXIT_OK
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        for again in (["sweep", "--k-max", 1, "--seed", 2], ["train", "--k", 1, "--seed", 2]):
+            assert run(*again, *flags) == EXIT_USAGE
+            assert capsys.readouterr().err == (f"error: --out {out} already holds a run's "
+                                               "config.txt; each run needs a new directory\n")
+            assert {p: p.read_bytes() for p in out.iterdir()} == before
 
     def test_divergence_exit_code(self, tiny_dataset, tmp_path):
         argv = ["sweep", "--dataset", tiny_dataset, "--k-max", 1, "--strategy", "none",
@@ -730,14 +747,13 @@ class TestReport:
         assert first == second
 
     def test_stale_ae_json_is_ignored(self, tiny_dataset, finished_run, tmp_path):
-        """A spectrum sweep into an --autoencoder sweep's directory keeps that sweep's
-        ae.json; the report, and a predict from its checkpoint, are those of the same run
-        without it."""
-        stale = tmp_path / "stale"
-        flags = ("--dataset", tiny_dataset, "--out", stale, *self.SWEEP_FLAGS)
-        assert run("sweep", *flags, "--autoencoder") == EXIT_OK
-        assert run("sweep", *flags) == EXIT_OK
-        assert (stale / "ae.json").exists()
+        """An --autoencoder sweep's ae.json copied into a spectrum sweep's directory; the
+        report, and a predict from its checkpoint, are those of the same run without it."""
+        stale, ae_run = tmp_path / "stale", tmp_path / "ae_run"
+        flags = ("--dataset", tiny_dataset, *self.SWEEP_FLAGS)
+        assert run("sweep", *flags, "--out", stale) == EXIT_OK
+        assert run("sweep", *flags, "--out", ae_run, "--autoencoder") == EXIT_OK
+        shutil.copyfile(ae_run / "ae.json", stale / "ae.json")
         spectrum = tmp_path / "spectrum.txt"
         spectrum.write_text(" ".join(map(str, dataset.load_dataset(tiny_dataset).spectra[0])))
         for run_dir in (finished_run, stale):
@@ -907,6 +923,36 @@ class TestConfigFile:
         assert "line 1" in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "sweep"])
+    def test_config_keys_are_the_commands_flags(self, command, tmp_path):
+        """A one-line --config file of a setting is accepted exactly when the command has
+        a flag for it, and a run's config.txt lists exactly those settings."""
+        dests = _setting_dests(command)
+        for f in dataclasses.fields(cli.RunConfig):
+            cfg = tmp_path / f"{f.name}.txt"
+            cfg.write_text(f"{f.name} = {f.default}\n")
+            if f.name in dests:
+                assert cli.parse_config_file(cfg, command) == {f.name: f.default}
+            else:
+                with pytest.raises(ValueError) as exc:
+                    cli.parse_config_file(cfg, command)
+                assert str(exc.value) == f"{cfg}: line 1: {command} takes no setting {f.name!r}"
+        if command != "gen-data":  # gen-data writes no config.txt
+            cli.write_config(tmp_path / "config.txt", cli.RunConfig(), command)
+            lines = (tmp_path / "config.txt").read_text().splitlines()
+            assert lines[0] == f"command = {command}"
+            assert [line.split(" =")[0] for line in lines[1:]] == sorted(dests)
+
+    def test_gen_data_config_takes_only_the_seed(self, tmp_path, monkeypatch, capsys):
+        """An 'out =' line would have gen-data write elsewhere than the file it names: it
+        exits 2 before any dataset is written, the default --out included."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("out = x.csv\n")
+        assert run("gen-data", "--config", cfg, "--samples", 10) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}: line 1: gen-data takes no setting 'out'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
     @settings(max_examples=200, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cfg=st.builds(
@@ -927,11 +973,13 @@ class TestConfigFile:
         warm_start_jitter=st.floats(min_value=0.0, allow_infinity=False),
     ))
     def test_write_then_parse_round_trips(self, cfg, tmp_path):
-        path = tmp_path / "config.txt"
-        cli.write_config(path, cfg, "sweep")
-        values = cli.parse_config_file(path, "sweep")
-        assert set(values) == {f.name for f in dataclasses.fields(cli.RunConfig)}
-        assert cli.RunConfig(**values) == cfg
+        """config.txt holds exactly the command's settings, each read back as written."""
+        for command in ("train", "sweep"):
+            path = tmp_path / f"{command}.txt"
+            cli.write_config(path, cfg, command)
+            values = cli.parse_config_file(path, command)
+            assert set(values) == _setting_dests(command)
+            assert values == {name: getattr(cfg, name) for name in values}
 
 
 # one case per out-of-range setting; each must stop before any output is written
@@ -987,6 +1035,11 @@ def _subparser(command: str) -> argparse.ArgumentParser:
     parser = cli.make_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices[command]
+
+
+def _setting_dests(command: str) -> set[str]:
+    """The RunConfig fields that ``command`` has a flag for."""
+    return {a.dest for a in _subparser(command)._actions} & SETTING_NAMES
 
 
 class TestFlagInventory:

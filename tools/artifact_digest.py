@@ -8,6 +8,8 @@ checkout).  Every command runs in a fresh process with one BLAS thread, inside
 depend on where ``OUT_DIR`` is.  The tool prints one ``sha256  path`` line per
 file, the standard output of each command included, and then the sha256 of that
 listing.  ``sweep_timing.csv`` holds wall-clock seconds and is left out.
+``train_replay`` reruns ``train`` from the ``config.txt`` of ``train``'s run, and
+the tool stops if its model or log differs from that run's by a byte.
 
 Last it prints a weights digest: the sha256 over every checkpoint's parameter
 arrays (shape and float64 bytes), decoded in a fresh process by the package's
@@ -42,6 +44,7 @@ COMMANDS = [
                     "--seed", "5", "--out", "sweep_none", *TRAIN]),
     ("train", ["train", "--dataset", "data.csv", "--k", "2", "--max-epochs", "7",
                "--batch-size", "32", "--seed", "6", "--out", "train_k2"]),
+    ("train_replay", ["train", "--config", "train_k2/config.txt", "--out", "train_k2_replay"]),
     ("predict_raw", ["predict", "--checkpoint", "sweep_tl2/mdn_k03.json",
                      "--spectrum-file", "spectrum.txt", "--top", "3", "--out", "predict_raw"]),
     ("predict_latent", ["predict", "--checkpoint", "sweep_tl1_ae/mdn_k03.json",
@@ -72,6 +75,10 @@ def run_commands(src: Path, out: Path) -> None:
         if proc.returncode != 0:
             raise SystemExit(f"{name} exited {proc.returncode}:\n{proc.stderr}")
         (out / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
+    for name in ("mdn_k02.json", "log_k02.csv"):
+        if (out / "train_k2_replay" / name).read_bytes() != (out / "train_k2" / name).read_bytes():
+            raise SystemExit(f"train_k2_replay/{name} differs from train_k2's: "
+                             "train's config.txt does not replay its run")
 
 
 # run in the checkout's own package: one line per checkpoint, the sha256 of its weights
